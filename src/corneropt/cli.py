@@ -414,10 +414,22 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_point_values(argv):
+    """Rewrite ``--point <csv>`` as ``--point=<csv>``: argparse would read a
+    leading minus sign of the coordinates as an option."""
+    out = []
+    tokens = iter(argv)
+    for token in tokens:
+        value = next(tokens, None) if token == "--point" else None
+        out.append(token if value is None else f"--point={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_point_values(sys.argv[1:] if argv is None else argv))
         if args.command == "list-models":
             return cmd_list_models(args)
         config = RunConfig(args)

@@ -158,6 +158,9 @@ class Retraction:
     map_fn: Callable[[np.ndarray], np.ndarray]
     domain_radius: float
     name: str = ""
+    # Analytic Jacobian of map_fn (ambient_dim x dim); finite differences
+    # when absent.
+    differential_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = _as_float_array(v)
@@ -166,6 +169,13 @@ class Retraction:
                 f"retraction {self.name!r}: |v| = {np.linalg.norm(v):.3g} "
                 f">= domain radius {self.domain_radius:.3g}")
         return _as_float_array(self.map_fn(v))
+
+    def differential(self, v: np.ndarray) -> np.ndarray:
+        """Jacobian ``DR(v)`` of the retraction at tangent coordinates ``v``."""
+        v = _as_float_array(v)
+        if self.differential_fn is not None:
+            return _as_float_array(self.differential_fn(v))
+        return fd_jacobian_of(self.map_fn, v)
 
 
 def retract(r: Retraction, v: np.ndarray) -> np.ndarray:
@@ -348,7 +358,8 @@ class Euclidean(Manifold):
         if kind in ("translation", "default"):
             return Retraction(base=p, chart=chart,
                               map_fn=lambda v, p=p: p + _as_float_array(v),
-                              domain_radius=1e8, name="translation")
+                              domain_radius=1e8, name="translation",
+                              differential_fn=lambda v: np.eye(self.dim))
         curl = self._curl
 
         def quad(v, p=p, curl=curl):
@@ -356,7 +367,9 @@ class Euclidean(Manifold):
             return p + v + 0.5 * float(v @ v) * curl
 
         return Retraction(base=p, chart=chart, map_fn=quad,
-                          domain_radius=10.0, name="quadratic")
+                          domain_radius=10.0, name="quadratic",
+                          differential_fn=lambda v, curl=curl: (
+                              np.eye(self.dim) + np.outer(curl, v)))
 
 
 def _point_tag(p: np.ndarray) -> str:
@@ -382,6 +395,28 @@ def tangent_basis(p: np.ndarray) -> np.ndarray:
         w = w / nw
         house = np.eye(d) - 2.0 * np.outer(w, w)
     return house[:, :d - 1]
+
+
+def _sphere_exp_jacobian(p: np.ndarray, basis: np.ndarray, x) -> np.ndarray:
+    """Jacobian of ``x -> exp_p(B x)`` on the unit sphere."""
+    x = _as_float_array(x)
+    r = float(np.linalg.norm(x))
+    if r < 1e-8:
+        # exp_p(Bx) = cos(r) p + sinc(r) Bx; to O(r^2) the Jacobian is B - p x^T.
+        return basis - np.outer(p, x)
+    sinc = math.sin(r) / r
+    dsinc = (r * math.cos(r) - math.sin(r)) / (r * r)
+    xhat = x / r
+    u = basis @ x
+    return -math.sin(r) * np.outer(p, xhat) + sinc * basis + dsinc * np.outer(u, xhat)
+
+
+def _sphere_normalized_jacobian(p: np.ndarray, basis: np.ndarray, x) -> np.ndarray:
+    """Jacobian of ``x -> (p + B x) / |p + B x|`` on the unit sphere."""
+    v = p + basis @ _as_float_array(x)
+    nv = np.linalg.norm(v)
+    q = v / nv
+    return (np.eye(p.size) - np.outer(q, q)) @ basis / nv
 
 
 class Sphere(Manifold):
@@ -485,17 +520,7 @@ class Sphere(Manifold):
                 return self.exp_map(p, basis @ _as_float_array(x))
 
             def inv_jac(x, p=p, basis=basis):
-                x = _as_float_array(x)
-                r = float(np.linalg.norm(x))
-                if r < 1e-8:
-                    # exp_p(Bx) = cos(r) p + sinc(r) Bx; to O(r^2) the Jacobian
-                    # is B - p x^T.
-                    return basis - np.outer(p, x)
-                sinc = math.sin(r) / r
-                dsinc = (r * math.cos(r) - math.sin(r)) / (r * r)
-                xhat = x / r
-                u = basis @ x
-                return -math.sin(r) * np.outer(p, xhat) + sinc * basis + dsinc * np.outer(u, xhat)
+                return _sphere_exp_jacobian(p, basis, x)
 
             def fwd_jac(q, p=p, basis=basis):
                 q = _as_float_array(q)
@@ -528,10 +553,7 @@ class Sphere(Manifold):
                 return v / np.linalg.norm(v)
 
             def inv_jac(x, p=p, basis=basis):
-                v = p + basis @ _as_float_array(x)
-                nv = np.linalg.norm(v)
-                q = v / nv
-                return (np.eye(p.size) - np.outer(q, q)) @ basis / nv
+                return _sphere_normalized_jacobian(p, basis, x)
 
             def fwd_jac(q, p=p, basis=basis):
                 q = _as_float_array(q)
@@ -585,14 +607,17 @@ class Sphere(Manifold):
             return Retraction(
                 base=p, chart=chart,
                 map_fn=lambda v, p=p, basis=basis, self=self: self.exp_map(p, basis @ _as_float_array(v)),
-                domain_radius=math.pi - 1e-2, name="exp")
+                domain_radius=math.pi - 1e-2, name="exp",
+                differential_fn=lambda v, p=p, basis=basis: _sphere_exp_jacobian(p, basis, v))
 
         def proj_retract(v, p=p, basis=basis):
             w = p + basis @ _as_float_array(v)
             return w / np.linalg.norm(w)
 
         return Retraction(base=p, chart=chart, map_fn=proj_retract,
-                          domain_radius=1e8, name="proj")
+                          domain_radius=1e8, name="proj",
+                          differential_fn=lambda v, p=p, basis=basis: (
+                              _sphere_normalized_jacobian(p, basis, v)))
 
 
 class CircleProduct(Manifold):
@@ -679,17 +704,23 @@ class CircleProduct(Manifold):
         theta0 = self._angles(p)
         chart = self.chart(p, "default")
         if kind == "exp":
+            # the default chart's inverse is this same map
             return Retraction(
                 base=_as_float_array(p), chart=chart,
                 map_fn=lambda v, theta0=theta0, self=self: self._from_angles(theta0 + _as_float_array(v)),
-                domain_radius=math.pi * 0.9, name="exp")
+                domain_radius=math.pi * 0.9, name="exp",
+                differential_fn=chart.inverse_jacobian_fn)
 
         def proj_map(v, theta0=theta0, self=self):
             # per-node projection retraction: theta0 + arctan(v)
             return self._from_angles(theta0 + np.arctan(_as_float_array(v)))
 
+        def proj_jac(v, chart=chart):
+            v = _as_float_array(v)
+            return chart.inverse_jacobian_fn(np.arctan(v)) / (1.0 + v * v)
+
         return Retraction(base=_as_float_array(p), chart=chart, map_fn=proj_map,
-                          domain_radius=10.0, name="proj")
+                          domain_radius=10.0, name="proj", differential_fn=proj_jac)
 
 
 class CircleCotangent(Manifold):
@@ -856,6 +887,14 @@ class Product(Manifold):
             v = _as_float_array(v)
             return np.concatenate([r.map_fn(v[s]) for r, s in zip(rets, dim_slices)])
 
+        def mapped_jac(v, rets=rets, dim_slices=dim_slices, self=self):
+            v = _as_float_array(v)
+            out = np.zeros((self.ambient_dim, self.dim))
+            for r, ds, As in zip(rets, dim_slices, self._amb_slices):
+                out[As, ds] = r.differential(v[ds])
+            return out
+
         return Retraction(base=_as_float_array(p), chart=chart, map_fn=mapped,
                           domain_radius=min(r.domain_radius for r in rets),
-                          name="+".join(r.name for r in rets))
+                          name="+".join(r.name for r in rets),
+                          differential_fn=mapped_jac)

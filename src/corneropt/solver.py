@@ -284,15 +284,18 @@ def _elastic_step(jac, g0, cone, trust: float):
 @dataclass(frozen=True)
 class _LocalPullback:
     """Solver-internal pull-back; unlike the second-order one it tolerates an
-    infeasible center by straightening around a snapped face reference."""
+    infeasible center by straightening around a snapped face reference.
+
+    ``g_bar`` is read through ``eval_chart``, the codomain's own chart at the
+    face reference, and ``cone_bar`` is the corner cone carried into it.
+    """
 
     retraction: object
-    linmap: object
+    eval_chart: object
     cone_bar: object
     f_bar: object
     g_bar: object
     dim: int
-    eval_radius: float = 1e8
 
 
 def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
@@ -341,9 +344,35 @@ def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
     def g_bar(v):
         return eval_chart.forward(prob.constraint(retraction(v)))
 
-    return _LocalPullback(retraction=retraction, linmap=None, cone_bar=cone,
-                          f_bar=f_bar, g_bar=g_bar, dim=retraction.chart.dim,
-                          eval_radius=eval_chart.radius), q_ref
+    return _LocalPullback(retraction=retraction, eval_chart=eval_chart, cone_bar=cone,
+                          f_bar=f_bar, g_bar=g_bar, dim=retraction.chart.dim), q_ref
+
+
+def _lagrangian_hessian(prob: ProblemInstance, pb, mu: np.ndarray) -> np.ndarray:
+    """Hessian at ``v = 0`` of the pulled-back Lagrangian ``f_bar + mu . g_bar``.
+
+    With analytic ambient derivatives it is the symmetrised central difference
+    of ``grad L(v) = DR(v)^T (grad f(x) + Dg(x)^T Dpsi(g(x))^T mu)``, ``x = R(v)``
+    and ``psi`` the evaluation chart, retracting once per stencil point.
+    Models without gradients, or an evaluation chart without a forward
+    Jacobian, fall back to second differences of Lagrangian values.
+    """
+    chart = pb.eval_chart
+    if (prob.objective_grad_ambient is None or prob.constraint_jac_ambient is None
+            or chart.forward_jacobian_fn is None):
+        lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
+        return _fd_hessian_coarse(lag, pb.dim)
+    retraction = pb.retraction
+
+    def grad_lag(v):
+        x = retraction(v)
+        covec = np.asarray(prob.objective_grad_ambient(x), dtype=float) \
+            + np.asarray(prob.constraint_jac_ambient(x), dtype=float).T \
+            @ (chart.forward_differential(prob.constraint(x)).T @ mu)
+        return retraction.differential(v).T @ covec
+
+    hess = fd_jacobian_of(grad_lag, np.zeros(pb.dim))
+    return 0.5 * (hess + hess.T)
 
 
 def _feasibility_residual(pb) -> float:
@@ -362,7 +391,8 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
 
     On convergence the returned certificate comes from
     :func:`corneropt.firstorder.solve_kkt` at ``opts.tol_kkt``, so the
-    result is certified by the same machinery the checker commands use.
+    result is certified by the same machinery the checker commands use, and
+    the returned point is the one the certificate was computed at.
     """
     opts = opts or SolveOptions()
     p = np.asarray(p0, dtype=float)
@@ -413,7 +443,7 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
         grad = _fd_grad(pb.f_bar, pb.dim) if prob.objective_grad_ambient is None \
             else prob.objective_gradient(p, pb.retraction.chart)
         g0 = pb.g_bar(np.zeros(pb.dim))
-        jac = fd_jacobian_of(pb.g_bar, np.zeros(pb.dim))
+        jac = prob.constraint_jacobian(p, pb.retraction.chart, pb.eval_chart)
         cone = pb.cone_bar
 
         mu_vec = mu_est if mu_est is not None and mu_est.size == g0.size \
@@ -424,14 +454,13 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
             grad_lagr = grad + jac.T @ mu_vec
             h_mat = bfgs.update(grad_lagr, pb.dim)
         else:
-            lag = lambda v: pb.f_bar(v) + float(mu_vec @ pb.g_bar(v))
-            h_mat = _fd_hessian_coarse(lag, pb.dim)
+            h_mat = _lagrangian_hessian(prob, pb, mu_vec)
         h_pd = _positive_definite(h_mat)
 
         # trust box: keep the step inside retraction and evaluation domains
         sigma = float(np.linalg.svd(jac, compute_uv=False)[0]) if jac.size else 0.0
         delta = min(1.0, 0.45 * pb.retraction.domain_radius,
-                    0.45 * pb.eval_radius / (1.0 + sigma))
+                    0.45 * pb.eval_chart.radius / (1.0 + sigma))
         box = np.vstack([np.eye(pb.dim), -np.eye(pb.dim)])
         c_ineq = np.vstack([cone.a_ineq @ jac, box])
         d_ineq = np.concatenate([-(cone.a_ineq @ g0), np.full(2 * pb.dim, delta)])
@@ -480,8 +509,13 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
                 status = "converged"
             break
 
-    if status == "converged" and certificate is None:
-        status = "max_iter"
+    if certificate is not None and not np.array_equal(certificate.point, p):
+        # a certificate is only ever returned with the point it certifies: the
+        # stagnation exit returns that point, the other exits drop it
+        if status == "converged":
+            p = certificate.point
+        else:
+            certificate = None
     return SolveResult(point=p, certificate=certificate, iterations=trace,
                        status=status, message=message)
 

@@ -108,6 +108,24 @@ class TestCertify:
         hess = np.asarray(data["hessian"]["matrix"], dtype=float)
         assert float(witness @ hess @ witness) < -1e-6
 
+    def test_point_with_leading_minus_as_separate_argument(self, capsys, tmp_path):
+        params = {"m": 6, "n_ineq": 2, "n_eq": 0, "seed": 5, "curvature": "indefinite"}
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text('model.name = "classical-nlp"\n' + "".join(
+            f"model.params.{k} = {json.dumps(v)}\n" for k, v in params.items()))
+        from corneropt.models import build_classical_nlp
+        point = build_classical_nlp(params).extras["reference"]["point"]
+        csv = ",".join(map(str, point))
+        assert csv.startswith("-")
+        code, out, err = run(capsys, "certify", "--config", str(cfg),
+                             "--point", csv, "--output", "json")
+        # an indefinite saddle: SONC fails, so the exit code is 1, not 3
+        assert code == EXIT_FAIL, err
+        assert json.loads(out)["sonc"]["status"] == "fails"
+        _, same, _ = run(capsys, "certify", f"--config={cfg}", f"--point={csv}",
+                         "--output=json")
+        assert same == out
+
     def test_remark_sonc_holds(self, capsys):
         code, out, _ = run(capsys, "certify", "--model", "remark-counterexample",
                            "--point", "0,0", "--output", "json")

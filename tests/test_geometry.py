@@ -194,3 +194,19 @@ def test_chart_domain_error_is_hard():
         chart.inverse(np.array([2.0, 0.0]))
     with pytest.raises(DomainError):
         chart.forward(np.array([0.0, 0.0, -1.0]))
+
+
+@pytest.mark.parametrize(
+    "manifold", all_manifolds() + [Product(CircleProduct(2), Euclidean(2))],
+    ids=lambda m: m.name)
+def test_retraction_differential_matches_fd(manifold):
+    rng = np.random.default_rng(12)
+    for kind in manifold.retraction_kinds:
+        for _ in range(5):
+            r = manifold.retraction(manifold.random_point(rng), kind)
+            v = rng.standard_normal(r.chart.dim)
+            v *= rng.uniform(0.05, 0.8) * min(r.domain_radius, 2.0) / np.linalg.norm(v)
+            # only the trivialised cotangent bundle lacks a closed form
+            assert (r.differential_fn is None) == isinstance(manifold, CircleCotangent)
+            np.testing.assert_allclose(r.differential(v), fd_jacobian_of(r.map_fn, v),
+                                       atol=1e-6)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,15 @@ from corneropt.corners import EuclideanCornerSet
 from corneropt.errors import LineSearchFailureError, QPInfeasibleError
 from corneropt.firstorder import solve_kkt
 from corneropt.geometry import Euclidean, Sphere
+from corneropt import solver as solver_module
 from corneropt.models import (build_classical_nlp, build_control_model,
-                              build_remark_counterexample, build_sphere_polygon)
+                              build_diagonal_constraint, build_remark_counterexample,
+                              build_sphere_polygon)
 from corneropt.oracles import enumerate_qp_solution, grid_minimize
 from corneropt.problem import ProblemInstance
 from corneropt.secondorder import build_pullback
-from corneropt.solver import (SolveOptions, merit_and_linesearch, merit_value,
+from corneropt.solver import (SolveOptions, _fd_hessian_coarse, _lagrangian_hessian,
+                              _local_pullback, merit_and_linesearch, merit_value,
                               qp_subproblem, solve, solve_qp_active_set)
 
 
@@ -255,3 +260,92 @@ class TestSolve:
                            SolveOptions(hessian_mode=mode, max_iter=cap))
             assert result.status == "converged", mode
             assert np.linalg.norm(result.point - ref["point"]) <= 1e-6
+
+
+def _pullback(prob, point):
+    return _local_pullback(prob, np.asarray(point, dtype=float), SolveOptions(), 0.3)[0]
+
+
+class TestLagrangianHessian:
+    """The solver's Hessian differences the analytic Lagrangian gradient."""
+
+    def test_control_model_matches_closed_form(self):
+        n = 6
+        prob = build_control_model({"n_nodes": n, "beta": 0.5})
+        rng = np.random.default_rng(3)
+        point = 0.3 * rng.standard_normal(2 * n)
+        pb = _pullback(prob, point)
+        mu = rng.standard_normal(2 * n)
+        # f = |y - y_d|^2 / 2 + alpha |u|^2 / 2, g = (y, Q y + beta y^3 - u),
+        # translation retraction and shift charts: only the cubic term curves g
+        y = point[:n]
+        closed = np.diag(np.concatenate([np.ones(n) + 6.0 * 0.5 * y * mu[n:],
+                                         np.ones(n)]))
+        np.testing.assert_allclose(_lagrangian_hessian(prob, pb, mu), closed,
+                                   atol=1e-8, rtol=0)
+
+    @pytest.mark.parametrize("prob, point", [
+        (build_classical_nlp({"m": 4, "n_ineq": 3, "n_eq": 1, "seed": 5}),
+         np.array([0.3, -0.2, 0.5, 0.1])),
+        (build_sphere_polygon(), np.array([0.6, 0.5, 0.2]) / np.linalg.norm([0.6, 0.5, 0.2])),
+    ], ids=["classical-nlp", "sphere-polygon"])
+    def test_matches_value_differences(self, prob, point):
+        pb = _pullback(prob, point)
+        mu = np.random.default_rng(4).standard_normal(pb.g_bar(np.zeros(pb.dim)).size)
+        lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
+        # second differences of values at h = 1e-4 are accurate to ~1e-7
+        np.testing.assert_allclose(_lagrangian_hessian(prob, pb, mu),
+                                   _fd_hessian_coarse(lag, pb.dim), atol=1e-6, rtol=0)
+
+    def test_control_solve_objective_budget(self, monkeypatch):
+        # value differences took 64,038 objective calls for this solve; the
+        # budget may only go down
+        fallbacks = _count_fallbacks(monkeypatch)
+        calls = [0]
+        prob = build_control_model({"n_nodes": 40, "beta": 0.5})
+
+        def counted(p, objective=prob.objective):
+            calls[0] += 1
+            return objective(p)
+
+        prob = dataclasses.replace(prob, objective=counted)
+        start = 0.3 * np.random.default_rng(0).standard_normal(80)
+        result = solve(prob, start)
+        assert result.status == "converged"
+        assert calls[0] <= 250
+        assert fallbacks[0] == 0
+
+    def test_models_without_gradients_use_value_differences(self, monkeypatch):
+        fallbacks = _count_fallbacks(monkeypatch)
+        prob = build_control_model({"n_nodes": 3, "variant": "circle"})
+        assert prob.objective_grad_ambient is None
+        solve(prob, prob.domain.random_point(np.random.default_rng(0)),
+              SolveOptions(max_iter=2))
+        assert fallbacks[0] >= 1
+
+
+def _count_fallbacks(monkeypatch):
+    count = [0]
+    original = solver_module._fd_hessian_coarse
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "_fd_hessian_coarse", counted)
+    return count
+
+
+class TestCertificatePairing:
+    @pytest.mark.parametrize("seed", [8, 37, 94])
+    @pytest.mark.parametrize("mode", ["fd-lagrangian", "bfgs"])
+    def test_converged_point_is_the_certified_point(self, seed, mode):
+        # near starts whose iterates step off the diagonal after a certificate
+        # was computed; the stagnation exit used to pair that certificate with
+        # the moved point, which solve_kkt rejects as infeasible
+        prob = build_diagonal_constraint()
+        q = np.array([0.0, 0.0, 1.0]) + 0.2 * np.random.default_rng(seed).standard_normal(3)
+        result = solve(prob, q / np.linalg.norm(q), SolveOptions(hessian_mode=mode))
+        assert result.status == "converged"
+        np.testing.assert_array_equal(result.certificate.point, result.point)
+        solve_kkt(prob, result.point)
