@@ -15,6 +15,7 @@ SONC fails, iteration limit), 2 infeasible point, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional
@@ -122,8 +123,7 @@ class RunConfig:
             tol_kkt=float(solver_tree.get("tol_kkt", self.tol)),
             tol_step=float(solver_tree.get("tol_step", 1e-11)),
             hessian_mode=str(solver_tree.get("hessian_mode", "fd-lagrangian")),
-            merit_penalty=float(solver_tree.get("merit_penalty", 10.0)),
-            seed=self.seed)
+            merit_penalty=float(solver_tree.get("merit_penalty", 10.0)))
 
     def build(self):
         try:
@@ -265,25 +265,20 @@ def _invariance_section(prob, point, cert, seed: int) -> dict:
     section["cone_membership"] = cone_membership_agreement(
         prob, point, n_samples=500, seed=seed,
         pair_a=("default", "default"), pair_b=(chart_alt, adapted_alt))
-    pullbacks = []
+    labels, pullbacks = [], []
     for retr in retr_kinds[:2] or ["default"]:
         for lm in linmap_kinds[:2]:
-            pullbacks.append((retr, lm,
-                              build_pullback(prob, point, retraction_kind=retr,
-                                             linmap_kind=lm)))
-    comparisons = []
-    for i in range(len(pullbacks)):
-        for j in range(i + 1, len(pullbacks)):
-            ri, li, pbi = pullbacks[i]
-            rj, lj, pbj = pullbacks[j]
-            rep = invariance_check(prob, point, cert, pbi, pbj,
-                                   tol=1e-5, n_samples=200, seed=seed)
-            comparisons.append({
-                "pullback_a": f"{ri}/{li}", "pullback_b": f"{rj}/{lj}",
-                "max_on_cone": rep.max_on_cone,
-                "max_off_cone": rep.max_off_cone,
-                "passed": rep.passed,
-            })
+            labels.append(f"{retr}/{lm}")
+            pullbacks.append(build_pullback(prob, point, retraction_kind=retr,
+                                            linmap_kind=lm))
+    reports = invariance_check(prob, point, cert, pullbacks,
+                               tol=1e-5, n_samples=200, seed=seed)
+    comparisons = [{
+        "pullback_a": label_a, "pullback_b": label_b,
+        "max_on_cone": rep.max_on_cone,
+        "max_off_cone": rep.max_off_cone,
+        "passed": rep.passed,
+    } for (label_a, label_b), rep in zip(itertools.combinations(labels, 2), reports)]
     section["hessian_comparisons"] = comparisons
     section["passed"] = all(c["passed"] for c in comparisons) and \
         section["cone_membership"]["disagreements"] == 0 and \

@@ -777,10 +777,8 @@ class ProductCornerSet(CornerSet):
             d1.n + np.arange(d2.k),
             d1.k + np.arange(d1.n - d1.k),
             d1.n + d2.k + np.arange(d2.n - d2.k)]).astype(int)
-        inv_perm = np.empty(n, dtype=int)
-        inv_perm[perm] = np.arange(n)
 
-        def fwd(pt, d1=d1, d2=d2, self=self, inv_perm=inv_perm):
+        def fwd(pt, d1=d1, d2=d2, self=self):
             a, b = self.ambient.parts(pt)
             stacked = np.concatenate([d1.chart.forward(a), d2.chart.forward(b)])
             return stacked[perm]

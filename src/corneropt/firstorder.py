@@ -62,10 +62,6 @@ class KKTCertificate:
     chart_kind: str = "default"
     adapted_kind: str = "default"
 
-    @property
-    def strongly_active(self) -> tuple:
-        return tuple(i for i, a in enumerate(self.activity) if a == "strong")
-
 
 def _chart_data(prob: ProblemInstance, p, chart_kind: str, adapted_kind: str):
     chart_m, data = prob.chart_pair(p, chart_kind, adapted_kind)

@@ -44,6 +44,36 @@ def fd_jacobian_of(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return jac
 
 
+def fd_gradient_of(fn: Callable[[np.ndarray], float], dim: int,
+                   h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient at ``0`` of a scalar ``fn`` on ``R^dim``."""
+    grad = np.zeros(dim)
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = h
+        grad[j] = (fn(e) - fn(-e)) / (2.0 * h)
+    return grad
+
+
+def fd_hessian_of(fn: Callable[[np.ndarray], float], dim: int,
+                  h: float) -> np.ndarray:
+    """Second-difference Hessian at ``0`` of a scalar ``fn`` on ``R^dim``: the
+    three-point stencil on the diagonal, the four-point stencil off it."""
+    hess = np.zeros((dim, dim))
+    f0 = fn(np.zeros(dim))
+    for i in range(dim):
+        ei = np.zeros(dim)
+        ei[i] = h
+        hess[i, i] = (fn(ei) - 2.0 * f0 + fn(-ei)) / (h * h)
+        for j in range(i + 1, dim):
+            ej = np.zeros(dim)
+            ej[j] = h
+            val = (fn(ei + ej) - fn(ei - ej) - fn(-ei + ej) + fn(-ei - ej)) / (4.0 * h * h)
+            hess[i, j] = val
+            hess[j, i] = val
+    return hess
+
+
 @dataclass(frozen=True)
 class Chart:
     """A local chart centered at a point: ``forward(center) = 0``.

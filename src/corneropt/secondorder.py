@@ -8,13 +8,15 @@ Hessian (analytic when the model supplies one, otherwise central differences
 with Richardson refinement), checks the invariance numerically, and decides
 second-order sufficient/necessary conditions by exact subspace eigenvalue
 tests plus face enumeration with multi-start refinement on genuine cones.
+The invariance check compares every pair of a list of pull-backs but forms
+each pull-back's Hessian, and the critical cone and its samples, only once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -25,11 +27,11 @@ from .cones import (PolyhedralCone, canonicalize, extreme_rays, null_space,
 from .errors import (DimensionTooLargeError, InvalidCertificateError,
                      NotStationaryError)
 from .firstorder import TOL_ACT, TOL_KKT, KKTCertificate
-from .geometry import LinearizingMap, Retraction, push_covector, transition_jacobian
+from .geometry import (LinearizingMap, Retraction, fd_gradient_of, fd_hessian_of,
+                       push_covector, transition_jacobian)
 from .problem import ProblemInstance
 
 FD_HESS_STEP = 1e-4
-FD_LEVEL_WARN = 1e-4  # discrepancy between h and h/2 flagging ill-conditioning
 
 
 @dataclass(frozen=True)
@@ -145,38 +147,9 @@ class HessianForm:
     source: str = "fd"
     fd_discrepancy: float = 0.0
 
-    @property
-    def ill_conditioned(self) -> bool:
-        return self.fd_discrepancy > FD_LEVEL_WARN
-
     def __call__(self, v: np.ndarray) -> float:
         v = np.asarray(v, dtype=float)
         return float(v @ self.matrix @ v)
-
-
-def _fd_gradient(fn, dim, h=1e-6):
-    grad = np.zeros(dim)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        grad[j] = (fn(e) - fn(-e)) / (2.0 * h)
-    return grad
-
-
-def _fd_hessian(fn, dim, h):
-    hess = np.zeros((dim, dim))
-    f0 = fn(np.zeros(dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h
-        hess[i, i] = (fn(ei) - 2.0 * f0 + fn(-ei)) / (h * h)
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = h
-            val = (fn(ei + ej) - fn(ei - ej) - fn(-ei + ej) + fn(-ei - ej)) / (4.0 * h * h)
-            hess[i, j] = val
-            hess[j, i] = val
-    return hess
 
 
 def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
@@ -186,13 +159,13 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
     Requires stationarity (the bilinear form is only chart-independent
     there); raises :class:`NotStationaryError` otherwise.  The finite
     difference path runs at steps ``h`` and ``h/2`` and Richardson
-    extrapolates; the level discrepancy is recorded and flags
-    ill-conditioning when large.
+    extrapolates; the largest difference between the two levels is recorded
+    as ``fd_discrepancy``.
     """
     mu = np.asarray(mu, dtype=float)
     fn = lambda v: lagrangian_value(pb, v, mu)
     dim = pb.dim
-    grad = _fd_gradient(fn, dim)
+    grad = fd_gradient_of(fn, dim)
     scale = 1.0 + abs(fn(np.zeros(dim)))
     if np.linalg.norm(grad) > stationarity_tol * scale:
         raise NotStationaryError(
@@ -205,8 +178,8 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
             mat = 0.5 * (mat + mat.T)
             return HessianForm(base=pb.base, chart_id=pb.retraction.chart.chart_id,
                                matrix=mat, source="analytic", fd_discrepancy=0.0)
-    coarse = _fd_hessian(fn, dim, h)
-    fine = _fd_hessian(fn, dim, h / 2.0)
+    coarse = fd_hessian_of(fn, dim, h)
+    fine = fd_hessian_of(fn, dim, h / 2.0)
     mat = (4.0 * fine - coarse) / 3.0
     mat = 0.5 * (mat + mat.T)
     discrepancy = float(np.max(np.abs(fine - coarse))) if mat.size else 0.0
@@ -231,59 +204,65 @@ class InvarianceReport:
 
 
 def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
-                     pb1: PulledBackProblem, pb2: PulledBackProblem,
-                     tol: float = 1e-5, n_samples: int = 200,
-                     seed: int = 0) -> InvarianceReport:
-    """Compare two pulled-back Hessians on the critical cone.
+                     pullbacks: Sequence[PulledBackProblem], tol: float = 1e-5,
+                     n_samples: int = 200, seed: int = 0) -> list[InvarianceReport]:
+    """Compare the pulled-back Hessians of every pair of ``pullbacks`` on the
+    critical cone.
+
+    Returns one report per pair ``i < j``, in the order ``(0, 1), (0, 2),
+    ..., (1, 2), ...``.  The critical cone and the sampled directions are
+    built once, and each pull-back's Hessian and its values on those
+    directions once, whatever the number of pairs.
 
     The multiplier is transported into each linearizing map's frame with the
     inverse-transpose transition Jacobian; sampled critical-cone directions
-    are transported between the retraction frames the same way.  Off-cone
-    directions are evaluated as well and their (expected, permitted)
-    discrepancy is recorded without being asserted.
+    are transported from the default chart into each retraction's frame the
+    same way.  Off-cone directions are evaluated as well and their
+    (expected, permitted) discrepancy is recorded without being asserted.
     """
+    if len(pullbacks) < 2:
+        return []
     crit = critical_cone(prob, p, cert, adapted_kind=cert.adapted_kind)
     cert_chart = _adapted_chart(prob, p, cert)
-
-    def mu_for(pb):
-        if pb.linmap.chart is None or pb.linmap.chart.chart_id == cert_chart.chart_id:
-            return cert.mu_chart
-        return push_covector(cert_chart, pb.linmap.chart, cert.mu_chart)
-
-    h1 = lagrangian_hessian(pb1, mu_for(pb1))
-    h2 = lagrangian_hessian(pb2, mu_for(pb2))
-
-    # cone_m lives in the default chart frame at p; transport sampled
-    # directions into each retraction's frame when those differ.
+    # cone_m lives in the default chart frame at p
     default_chart = prob.domain.chart(p, "default")
-
-    def dir_map(pb):
-        if pb.retraction.chart.chart_id == default_chart.chart_id:
-            return None
-        return transition_jacobian(default_chart, pb.retraction.chart)
-
-    j1 = dir_map(pb1)
-    j2 = dir_map(pb2)
     rng = np.random.default_rng(seed)
-    vs = sample_cone(crit.cone_m, rng, n_samples)
-    max_on = 0.0
-    n_on = 0
-    for v in vs:
+    on_cone = []
+    for v in sample_cone(crit.cone_m, rng, n_samples):
         if np.linalg.norm(v) < 1e-12:
             continue
-        n_on += 1
-        v1 = v if j1 is None else j1 @ v
-        v2 = v if j2 is None else j2 @ v
-        max_on = max(max_on, abs(h1(v1) - h2(v2)))
-    max_off = 0.0
+        on_cone.append(v)
+    off_cone = []
     for _ in range(n_samples // 2):
         v = rng.standard_normal(default_chart.dim)
         v /= np.linalg.norm(v)
-        v1 = v if j1 is None else j1 @ v
-        v2 = v if j2 is None else j2 @ v
-        max_off = max(max_off, abs(h1(v1) - h2(v2)))
-    return InvarianceReport(max_on_cone=max_on, max_off_cone=max_off,
-                            n_on_cone=n_on, tol=tol, hessian_1=h1, hessian_2=h2)
+        off_cone.append(v)
+
+    forms, on_values, off_values = [], [], []
+    for pb in pullbacks:
+        mu = cert.mu_chart
+        if pb.linmap.chart is not None and pb.linmap.chart.chart_id != cert_chart.chart_id:
+            mu = push_covector(cert_chart, pb.linmap.chart, cert.mu_chart)
+        hess = lagrangian_hessian(pb, mu)
+        jac = None
+        if pb.retraction.chart.chart_id != default_chart.chart_id:
+            jac = transition_jacobian(default_chart, pb.retraction.chart)
+        forms.append(hess)
+        on_values.append([hess(v if jac is None else jac @ v) for v in on_cone])
+        off_values.append([hess(v if jac is None else jac @ v) for v in off_cone])
+
+    return [InvarianceReport(max_on_cone=_max_gap(on_values[i], on_values[j]),
+                             max_off_cone=_max_gap(off_values[i], off_values[j]),
+                             n_on_cone=len(on_cone), tol=tol,
+                             hessian_1=forms[i], hessian_2=forms[j])
+            for i, j in itertools.combinations(range(len(forms)), 2)]
+
+
+def _max_gap(values_1, values_2) -> float:
+    gap = 0.0
+    for a, b in zip(values_1, values_2):
+        gap = max(gap, abs(a - b))
+    return gap
 
 
 def _adapted_chart(prob, p, cert):

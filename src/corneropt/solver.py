@@ -27,7 +27,8 @@ from .cones import null_space, transport_cone
 from .errors import (BreakdownError, DomainError, InfeasiblePointError,
                      LineSearchFailureError, NoMultiplierError, QPInfeasibleError)
 from .firstorder import KKTCertificate, solve_kkt
-from .geometry import fd_jacobian_of, transition_jacobian
+from .geometry import (fd_gradient_of, fd_hessian_of, fd_jacobian_of,
+                       transition_jacobian)
 from .problem import ProblemInstance
 
 _QP_TOL = 1e-11
@@ -40,7 +41,6 @@ class SolveOptions:
     tol_step: float = 1e-11
     hessian_mode: str = "fd-lagrangian"  # "fd-lagrangian" | "bfgs" | "identity"
     merit_penalty: float = 10.0
-    seed: int = 0
     armijo: float = 1e-4
     max_halvings: int = 30
     retraction_kind: str = "default"
@@ -225,7 +225,7 @@ def merit_and_linesearch(pb, v, opts: SolveOptions,
         t *= 0.5
     phi0 = merit_value(pb, np.zeros(v.size), opts.merit_penalty)
     if grad is None:
-        grad = _fd_grad(pb.f_bar, v.size)
+        grad = fd_gradient_of(pb.f_bar, v.size)
     # directional model: objective slope minus the full violation (the QP step
     # zeroes the linearized violation)
     viol0 = (phi0 - pb.f_bar(np.zeros(v.size)))
@@ -246,15 +246,6 @@ def merit_and_linesearch(pb, v, opts: SolveOptions,
         t *= 0.5
     raise LineSearchFailureError(
         f"no acceptable step after {opts.max_halvings} halvings")
-
-
-def _fd_grad(fn, dim, h=1e-6):
-    grad = np.zeros(dim)
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        grad[j] = (fn(e) - fn(-e)) / (2.0 * h)
-    return grad
 
 
 def _elastic_step(jac, g0, cone, trust: float):
@@ -361,7 +352,7 @@ def _lagrangian_hessian(prob: ProblemInstance, pb, mu: np.ndarray) -> np.ndarray
     if (prob.objective_grad_ambient is None or prob.constraint_jac_ambient is None
             or chart.forward_jacobian_fn is None):
         lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
-        return _fd_hessian_coarse(lag, pb.dim)
+        return fd_hessian_of(lag, pb.dim, 1e-4)
     retraction = pb.retraction
 
     def grad_lag(v):
@@ -440,7 +431,7 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
                 # iterating until the feasibility residual is genuinely small
                 certificate = None
 
-        grad = _fd_grad(pb.f_bar, pb.dim) if prob.objective_grad_ambient is None \
+        grad = fd_gradient_of(pb.f_bar, pb.dim) if prob.objective_grad_ambient is None \
             else prob.objective_gradient(p, pb.retraction.chart)
         g0 = pb.g_bar(np.zeros(pb.dim))
         jac = prob.constraint_jacobian(p, pb.retraction.chart, pb.eval_chart)
@@ -518,22 +509,6 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
             certificate = None
     return SolveResult(point=p, certificate=certificate, iterations=trace,
                        status=status, message=message)
-
-
-def _fd_hessian_coarse(fn, dim, h=1e-4):
-    hess = np.zeros((dim, dim))
-    f0 = fn(np.zeros(dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h
-        hess[i, i] = (fn(ei) - 2.0 * f0 + fn(-ei)) / (h * h)
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = h
-            val = (fn(ei + ej) - fn(ei - ej) - fn(-ei + ej) + fn(-ei - ej)) / (4.0 * h * h)
-            hess[i, j] = val
-            hess[j, i] = val
-    return 0.5 * (hess + hess.T)
 
 
 class _BfgsState:

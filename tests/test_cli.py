@@ -133,6 +133,32 @@ class TestCertify:
         data = json.loads(out)
         assert data["sonc"]["status"] == "holds"
 
+    def test_control_model_hessian_and_cone_budget(self, capsys, monkeypatch, tmp_path):
+        # five pull-backs (the certificate's and four in the invariance
+        # section): comparing them pairwise once took 13 Hessians and 7
+        # critical cones
+        from corneropt import cli, secondorder
+        from corneropt.models import build_control_model
+        counts = {"lagrangian_hessian": 0, "critical_cone": 0}
+        for name in counts:
+            original = getattr(secondorder, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(secondorder, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text('model.name = "control-model"\nmodel.params.n_nodes = 6\n')
+        point = build_control_model({"n_nodes": 6}).extras["reference"]["point"]
+        code, out, _ = run(capsys, "certify", f"--config={cfg}",
+                           "--point=" + ",".join(map(str, point)), "--output=json")
+        assert code == EXIT_OK
+        assert json.loads(out)["invariance"]["passed"]
+        assert counts["lagrangian_hessian"] <= 5
+        assert counts["critical_cone"] <= 2
+
 
 class TestSolve:
     def test_sphere_polygon_converges(self, capsys):

@@ -224,8 +224,8 @@ class TestInvariance:
         maps = prob.extras["linmaps"]
         pb1 = build_pullback(prob, np.zeros(2), linmap=maps["S01"])
         pb3 = build_pullback(prob, np.zeros(2), linmap=maps["S03"])
-        report = invariance_check(prob, np.zeros(2), cert, pb1, pb3,
-                                  tol=1e-8, n_samples=200, seed=0)
+        [report] = invariance_check(prob, np.zeros(2), cert, [pb1, pb3],
+                                    tol=1e-8, n_samples=200, seed=0)
         assert report.passed
         assert report.max_on_cone <= 1e-8
         # off the cone the quadratic forms genuinely differ (value 2 at (1,1))
@@ -239,8 +239,8 @@ class TestInvariance:
         alpha = prob.extras["alpha"]
         pb1 = build_pullback(prob, np.zeros(2), linmap=maps["S01"])
         pb2 = build_pullback(prob, np.zeros(2), linmap=maps["S02"])
-        report = invariance_check(prob, np.zeros(2), cert, pb1, pb2,
-                                  tol=1e-8, n_samples=200, seed=0)
+        [report] = invariance_check(prob, np.zeros(2), cert, [pb1, pb2],
+                                    tol=1e-8, n_samples=200, seed=0)
         assert not report.passed
         # the discrepancy on {v1 = 0} is exactly 2 alpha at unit samples
         assert report.max_on_cone == pytest.approx(2.0 * alpha, abs=1e-6)
@@ -255,11 +255,24 @@ class TestInvariance:
         cert = solve_kkt(prob, point)
         pbs = [build_pullback(prob, point, retraction_kind=r, linmap_kind=lm)
                for r in ("exp", "proj") for lm in ("log", "gnomonic")]
-        for i in range(len(pbs)):
-            for j in range(i + 1, len(pbs)):
-                report = invariance_check(prob, point, cert, pbs[i], pbs[j],
-                                          tol=1e-5, n_samples=100, seed=0)
-                assert report.passed, (i, j, report.max_on_cone)
+        reports = invariance_check(prob, point, cert, pbs,
+                                   tol=1e-5, n_samples=100, seed=0)
+        pairs = [(i, j) for i in range(len(pbs)) for j in range(i + 1, len(pbs))]
+        assert len(reports) == len(pairs)
+        for (i, j), report in zip(pairs, reports):
+            assert report.passed, (i, j, report.max_on_cone)
+            # sharing the cone, samples and Hessians across pairs changes no
+            # bit of a pair's report
+            [alone] = invariance_check(prob, point, cert, [pbs[i], pbs[j]],
+                                       tol=1e-5, n_samples=100, seed=0)
+            assert (report.max_on_cone, report.max_off_cone, report.n_on_cone) == \
+                (alone.max_on_cone, alone.max_off_cone, alone.n_on_cone), (i, j)
+            for shared, single in ((report.hessian_1, alone.hessian_1),
+                                   (report.hessian_2, alone.hessian_2)):
+                assert shared.source == single.source
+                assert shared.fd_discrepancy == single.fd_discrepancy
+                assert np.array_equal(shared.matrix, single.matrix)
+        assert invariance_check(prob, point, cert, pbs[:1]) == []
 
 
 class TestSecondOrderConsistent:

@@ -6,7 +6,7 @@ import pytest
 from corneropt.corners import EuclideanCornerSet
 from corneropt.errors import LineSearchFailureError, QPInfeasibleError
 from corneropt.firstorder import solve_kkt
-from corneropt.geometry import Euclidean, Sphere
+from corneropt.geometry import Euclidean, Sphere, fd_hessian_of
 from corneropt import solver as solver_module
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_diagonal_constraint, build_remark_counterexample,
@@ -14,7 +14,7 @@ from corneropt.models import (build_classical_nlp, build_control_model,
 from corneropt.oracles import enumerate_qp_solution, grid_minimize
 from corneropt.problem import ProblemInstance
 from corneropt.secondorder import build_pullback
-from corneropt.solver import (SolveOptions, _fd_hessian_coarse, _lagrangian_hessian,
+from corneropt.solver import (SolveOptions, _lagrangian_hessian,
                               _local_pullback, merit_and_linesearch, merit_value,
                               qp_subproblem, solve, solve_qp_active_set)
 
@@ -295,7 +295,7 @@ class TestLagrangianHessian:
         lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
         # second differences of values at h = 1e-4 are accurate to ~1e-7
         np.testing.assert_allclose(_lagrangian_hessian(prob, pb, mu),
-                                   _fd_hessian_coarse(lag, pb.dim), atol=1e-6, rtol=0)
+                                   fd_hessian_of(lag, pb.dim, 1e-4), atol=1e-6, rtol=0)
 
     def test_control_solve_objective_budget(self, monkeypatch):
         # value differences took 64,038 objective calls for this solve; the
@@ -326,13 +326,13 @@ class TestLagrangianHessian:
 
 def _count_fallbacks(monkeypatch):
     count = [0]
-    original = solver_module._fd_hessian_coarse
+    original = solver_module.fd_hessian_of
 
     def counted(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "_fd_hessian_coarse", counted)
+    monkeypatch.setattr(solver_module, "fd_hessian_of", counted)
     return count
 
 
