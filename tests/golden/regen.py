@@ -18,6 +18,25 @@ from corneropt.models import build_model
 GOLDEN_DIR = Path(__file__).resolve().parent
 
 SADDLE_M6 = {"seed": 5, "curvature": "indefinite", "m": 6, "n_ineq": 2, "n_eq": 0}
+SADDLE_M3 = {"seed": 5, "curvature": "indefinite"}
+DIAGONAL = {"variant": "rotation", "angle": 0.7}
+CONTROL_BETA = {"n_nodes": 6, "beta": 0.4}
+CONTROL_CIRCLE = {"n_nodes": 3, "variant": "circle"}
+
+# Solved points, written out so that a change to the solver cannot move them:
+# ``solve`` on CONTROL_BETA from the beta = 0 reference point, and ``solve``
+# (``max_iter=80``) on CONTROL_CIRCLE from the angles
+# ``0.2 * default_rng(0).standard_normal(3)`` with the controls that zero the
+# fibre force.
+CONTROL_BETA_POINT = [
+    0.4248204126262628, 0.5223896202668672, 0.24064166320819838,
+    -0.24064166320819835, -0.5223896202668672, -0.42482041262626274,
+    0.3579185458684118, 0.4363393173594816, 0.20510943980307741,
+    -0.20510943980307744, -0.43633931735948167, -0.3579185458684117]
+CONTROL_CIRCLE_POINT = [
+    0.9969298239773566, 0.07830023029644738, 1.0, 2.5169682615943848e-12,
+    0.9969298239770096, -0.07830023030086605, 0.15708273222844552,
+    9.43839758723102e-12, -0.1570827322423772]
 
 # name -> (command, model, params, point, exit code); a point of None is the
 # model's reference point
@@ -33,6 +52,15 @@ CASES = {
     # SONC fails at this planted saddle
     "certify-classical-nlp-saddle-m6":
         ("certify", "classical-nlp", SADDLE_M6, None, cli.EXIT_FAIL),
+    # SONC holds: the critical cone misses the negative directions
+    "certify-classical-nlp-saddle-m3":
+        ("certify", "classical-nlp", SADDLE_M3, None, cli.EXIT_OK),
+    "certify-diagonal-constraint-rotation":
+        ("certify", "diagonal-constraint", DIAGONAL, [0.0, 0.0, 1.0], cli.EXIT_OK),
+    "certify-control-model-n6-beta0.4":
+        ("certify", "control-model", CONTROL_BETA, CONTROL_BETA_POINT, cli.EXIT_OK),
+    "certify-control-model-circle-n3":
+        ("certify", "control-model", CONTROL_CIRCLE, CONTROL_CIRCLE_POINT, cli.EXIT_OK),
     "invariance-remark-counterexample":
         ("invariance", "remark-counterexample", {}, [0.0, 0.0], cli.EXIT_OK),
 }
