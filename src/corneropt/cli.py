@@ -152,12 +152,13 @@ def _emit_text(node, prefix: str = "") -> None:
     if isinstance(node, dict):
         for key in node:
             value = node[key]
-            if isinstance(value, (dict, list)) and not _is_scalar_list(value):
+            if isinstance(value, (dict, list, np.ndarray)) and not _is_scalar_list(value):
                 print(f"{prefix}{key}:")
                 _emit_text(value, prefix + "  ")
             else:
                 print(f"{prefix}{key}: {_fmt(value)}")
-    elif isinstance(node, list):
+    elif isinstance(node, (list, np.ndarray)):
+        # a matrix prints one row per item
         for item in node:
             if isinstance(item, (dict, list)):
                 print(f"{prefix}-")
@@ -168,7 +169,7 @@ def _emit_text(node, prefix: str = "") -> None:
 
 def _is_scalar_list(value) -> bool:
     if isinstance(value, np.ndarray):
-        return True
+        return value.ndim <= 1 or len(value) == 0
     return isinstance(value, (list, tuple)) and all(
         not isinstance(v, (dict, list, tuple)) for v in value)
 
@@ -257,7 +258,14 @@ def _model_alt_kinds(prob):
     return chart_alt, adapted_alt, retr_kinds, linmap_kinds
 
 
-def _invariance_section(prob, point, cert, seed: int) -> dict:
+def _pullback_key(pb) -> tuple:
+    """Resolved retraction and linearizing-map names of a pull-back."""
+    return pb.retraction.name, pb.linmap.name
+
+
+def _invariance_section(prob, point, cert, seed: int, crit=None):
+    """The report's invariance section, and the Hessian of each compared
+    pull-back keyed by :func:`_pullback_key`."""
     chart_alt, adapted_alt, retr_kinds, linmap_kinds = _model_alt_kinds(prob)
     section = {}
     section["kkt_residual_alternate_charts"] = chart_switch_residual(
@@ -272,7 +280,11 @@ def _invariance_section(prob, point, cert, seed: int) -> dict:
             pullbacks.append(build_pullback(prob, point, retraction_kind=retr,
                                             linmap_kind=lm))
     reports = invariance_check(prob, point, cert, pullbacks,
-                               tol=1e-5, n_samples=200, seed=seed)
+                               tol=1e-5, n_samples=200, seed=seed, crit=crit)
+    hessians = {}
+    for (pb_a, pb_b), rep in zip(itertools.combinations(pullbacks, 2), reports):
+        hessians[_pullback_key(pb_a)] = rep.hessian_1
+        hessians[_pullback_key(pb_b)] = rep.hessian_2
     comparisons = [{
         "pullback_a": label_a, "pullback_b": label_b,
         "max_on_cone": rep.max_on_cone,
@@ -283,7 +295,7 @@ def _invariance_section(prob, point, cert, seed: int) -> dict:
     section["passed"] = all(c["passed"] for c in comparisons) and \
         section["cone_membership"]["disagreements"] == 0 and \
         section["kkt_residual_alternate_charts"] <= 1e-7
-    return section
+    return section, hessians
 
 
 def cmd_certify(config: RunConfig) -> int:
@@ -304,13 +316,18 @@ def cmd_certify(config: RunConfig) -> int:
         _emit(report, config.output)
         return EXIT_FAIL
     report["kkt"] = {"holds": True, **_certificate_report(cert)}
-    crit = critical_cone(prob, point, cert)
+    crit = critical_cone(prob, point, cert, adapted_kind=cert.adapted_kind)
     report["critical_cone"] = {
         "inequality_rows": crit.cone_m.a_ineq,
         "equality_rows": crit.cone_m.a_eq,
     }
+    # the invariance section shares this critical cone and usually compares
+    # the default pull-back too; its Hessian is then taken from there
+    invariance, hessians = _invariance_section(prob, point, cert, config.seed, crit)
     pb = build_pullback(prob, point)
-    hess = lagrangian_hessian(pb, cert.mu_chart)
+    hess = hessians.get(_pullback_key(pb))
+    if hess is None:
+        hess = lagrangian_hessian(pb, cert.mu_chart)
     report["hessian"] = {"matrix": hess.matrix, "source": hess.source,
                          "fd_discrepancy": hess.fd_discrepancy}
     sosc = sosc_check(hess, crit, seed=config.seed)
@@ -319,7 +336,7 @@ def cmd_certify(config: RunConfig) -> int:
                       "witness": sosc.witness}
     report["sonc"] = {"status": sonc.status, "min_value": sonc.min_value,
                       "witness": sonc.witness}
-    report["invariance"] = _invariance_section(prob, point, cert, config.seed)
+    report["invariance"] = invariance
     _emit(report, config.output)
     return EXIT_OK if sonc.holds else EXIT_FAIL
 
@@ -369,7 +386,7 @@ def cmd_invariance(config: RunConfig) -> int:
         report["kkt"] = {"holds": False, "best_residual": err.residual}
         _emit(report, config.output)
         return EXIT_FAIL
-    section = _invariance_section(prob, point, cert, config.seed)
+    section, _ = _invariance_section(prob, point, cert, config.seed)
     report["invariance"] = section
     _emit(report, config.output)
     return EXIT_OK if section["passed"] else EXIT_FAIL

@@ -127,7 +127,8 @@ def chart_linearizing_map(data: AdaptedChartData, name: str = "chart") -> Linear
         inverse_fn=chart.inverse,
         cone=data.cone(),
         name=name,
-        domain_radius=chart.radius)
+        domain_radius=chart.radius,
+        differential_fn=chart.forward_jacobian_fn)
 
 
 def scaling_linearizing_map(data: AdaptedChartData, gamma: float = 0.4,
@@ -154,10 +155,19 @@ def scaling_linearizing_map(data: AdaptedChartData, gamma: float = 0.4,
         s = (-1.0 + math.sqrt(disc)) / (2.0 * gamma)
         return chart.inverse(v / (1.0 + gamma * s))
 
+    jac = None
+    if chart.forward_jacobian_fn is not None:
+        def jac(q, chart=chart, gamma=gamma):
+            x = chart.forward(q)
+            dpsi = chart.forward_differential(q)
+            return (1.0 + gamma * float(np.sum(x))) * dpsi \
+                + gamma * np.outer(x, np.sum(dpsi, axis=0))
+
     return LinearizingMap(
         base=chart.center, dim=data.n,
         map_fn=fwd, chart=chart, inverse_fn=inv,
-        cone=data.cone(), name=name, domain_radius=radius)
+        cone=data.cone(), name=name, domain_radius=radius,
+        differential_fn=jac)
 
 
 # ---------------------------------------------------------------------------

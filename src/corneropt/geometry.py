@@ -55,22 +55,26 @@ def fd_gradient_of(fn: Callable[[np.ndarray], float], dim: int,
     return grad
 
 
-def fd_hessian_of(fn: Callable[[np.ndarray], float], dim: int,
+def fd_hessian_of(fn: Callable[[np.ndarray], np.ndarray], dim: int,
                   h: float) -> np.ndarray:
-    """Second-difference Hessian at ``0`` of a scalar ``fn`` on ``R^dim``: the
-    three-point stencil on the diagonal, the four-point stencil off it."""
-    hess = np.zeros((dim, dim))
+    """Second-difference Hessian at ``0`` of ``fn`` on ``R^dim``: the
+    three-point stencil on the diagonal, the four-point stencil off it.
+
+    A scalar ``fn`` gives a ``(dim, dim)`` matrix; an ``ndarray``-valued one
+    gives one such matrix per output entry, shape ``fn(0).shape + (dim, dim)``.
+    """
     f0 = fn(np.zeros(dim))
+    hess = np.zeros(np.shape(f0) + (dim, dim))
     for i in range(dim):
         ei = np.zeros(dim)
         ei[i] = h
-        hess[i, i] = (fn(ei) - 2.0 * f0 + fn(-ei)) / (h * h)
+        hess[..., i, i] = (fn(ei) - 2.0 * f0 + fn(-ei)) / (h * h)
         for j in range(i + 1, dim):
             ej = np.zeros(dim)
             ej[j] = h
             val = (fn(ei + ej) - fn(ei - ej) - fn(-ei + ej) + fn(-ei - ej)) / (4.0 * h * h)
-            hess[i, j] = val
-            hess[j, i] = val
+            hess[..., i, j] = val
+            hess[..., j, i] = val
     return hess
 
 
@@ -231,9 +235,23 @@ class LinearizingMap:
     cone: object = None  # PolyhedralCone when adapted
     name: str = ""
     domain_radius: float = math.inf
+    # Analytic Jacobian of map_fn at an ambient point (dim x ambient_dim);
+    # finite differences when absent.
+    differential_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, point: np.ndarray) -> np.ndarray:
         return _as_float_array(self.map_fn(_as_float_array(point)))
+
+    def differential(self, point: np.ndarray) -> np.ndarray:
+        """Jacobian ``DS(q)`` of the map at an ambient point ``q``.
+
+        As for :meth:`Chart.forward_differential`, only its action on
+        directions tangent to the codomain is specified.
+        """
+        point = _as_float_array(point)
+        if self.differential_fn is not None:
+            return _as_float_array(self.differential_fn(point))
+        return fd_jacobian_of(self.map_fn, point)
 
     def inverse(self, v: np.ndarray) -> np.ndarray:
         if self.inverse_fn is None:

@@ -4,12 +4,27 @@ At a KKT point the pulled-back Lagrangian
 ``Lbar(v, mu) = f(R(v)) + mu(S(g(R(v))))`` has a well-defined symmetric
 Hessian at ``0``, and for adapted linearizing maps its quadratic form is
 invariant on the critical cone.  This module builds pull-backs, forms the
-Hessian (analytic when the model supplies one, otherwise central differences
-with Richardson refinement), checks the invariance numerically, and decides
-second-order sufficient/necessary conditions by exact subspace eigenvalue
-tests plus face enumeration with multi-start refinement on genuine cones.
-The invariance check compares every pair of a list of pull-backs but forms
-each pull-back's Hessian, and the critical cone and its samples, only once.
+Hessian, checks the invariance numerically, and decides second-order
+sufficient/necessary conditions by exact subspace eigenvalue tests plus face
+enumeration with multi-start refinement on genuine cones.  The invariance
+check compares every pair of a list of pull-backs but forms each pull-back's
+Hessian, and the critical cone and its samples, only once.
+
+A Hessian comes from one of three sources, recorded in
+:attr:`HessianForm.source`:
+
+* ``analytic``: the model's ``analytic_pullback_hessian`` hook, when it
+  covers the pull-back's retraction and linearizing map;
+* ``grad-fd``: otherwise, when the model supplies ambient gradients and the
+  linearizing map a closed-form differential, central differences of the
+  analytic gradient ``grad Lbar(v) = DR(v)^T (grad f(x) + Dg(x)^T DS(g(x))^T
+  mu)``, ``x = R(v)``, at steps ``h`` and ``h/2``, each symmetrised, with
+  Richardson extrapolation;
+* ``fd``: otherwise, second differences of Lagrangian values at ``h`` and
+  ``h/2`` with Richardson extrapolation.
+
+``fd_discrepancy`` is the largest entry of the difference between the two
+step levels (0 for ``analytic``).
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ from .errors import (DimensionTooLargeError, InvalidCertificateError,
                      NotStationaryError)
 from .firstorder import TOL_ACT, TOL_KKT, KKTCertificate
 from .geometry import (LinearizingMap, Retraction, fd_gradient_of, fd_hessian_of,
-                       push_covector, transition_jacobian)
+                       fd_jacobian_of, push_covector, transition_jacobian)
 from .problem import ProblemInstance
 
 FD_HESS_STEP = 1e-4
@@ -46,6 +61,9 @@ class PulledBackProblem:
     cone_bar: PolyhedralCone
     analytic_hessian: Optional[Callable] = None
     name: str = ""
+    # (v, mu) -> gradient of the pulled-back Lagrangian, when the model and
+    # the linearizing map supply the derivatives it needs
+    lagrangian_gradient: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     @property
     def dim(self) -> int:
@@ -77,10 +95,13 @@ def build_pullback(prob: ProblemInstance, p, retraction: Optional[Retraction] = 
     hook = prob.extras.get("analytic_pullback_hessian")
     if hook is not None:
         analytic = lambda mu, r=retraction, s=linmap: hook(mu, r, s)
+    gradient = prob.pulled_back_lagrangian_gradient(
+        retraction, linmap.differential if linmap.differential_fn is not None else None)
     return PulledBackProblem(
         base=np.asarray(p, dtype=float), retraction=retraction, linmap=linmap,
         f_bar=f_bar, g_bar=g_bar, cone_bar=cone, analytic_hessian=analytic,
-        name=f"{prob.name}:{retraction.name}/{linmap.name}")
+        name=f"{prob.name}:{retraction.name}/{linmap.name}",
+        lagrangian_gradient=gradient)
 
 
 @dataclass
@@ -144,7 +165,11 @@ class HessianForm:
     base: np.ndarray
     chart_id: str
     matrix: np.ndarray
+    # "analytic" (model hook), "grad-fd" (differences of the analytic
+    # Lagrangian gradient) or "fd" (second differences of Lagrangian values)
     source: str = "fd"
+    # largest entry of |H(h/2) - H(h)| between the two step levels; 0 when
+    # analytic
     fd_discrepancy: float = 0.0
 
     def __call__(self, v: np.ndarray) -> float:
@@ -157,16 +182,25 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
     """Hessian of ``v -> Lbar(v, mu)`` at 0.
 
     Requires stationarity (the bilinear form is only chart-independent
-    there); raises :class:`NotStationaryError` otherwise.  The finite
-    difference path runs at steps ``h`` and ``h/2`` and Richardson
-    extrapolates; the largest difference between the two levels is recorded
-    as ``fd_discrepancy``.
+    there); raises :class:`NotStationaryError` otherwise.  The gradient
+    tested is the pull-back's analytic one when it has one, central
+    differences of values otherwise.  The Hessian is the model's analytic
+    one if its hook covers the pull-back; otherwise finite differences of
+    the analytic gradient (``grad-fd``) or of values (``fd``) at steps ``h``
+    and ``h/2``, Richardson extrapolated, with the largest difference
+    between the two levels recorded as ``fd_discrepancy``.
     """
     mu = np.asarray(mu, dtype=float)
     fn = lambda v: lagrangian_value(pb, v, mu)
     dim = pb.dim
-    grad = fd_gradient_of(fn, dim)
-    scale = 1.0 + abs(fn(np.zeros(dim)))
+    zero = np.zeros(dim)
+    grad_fn = None
+    if pb.lagrangian_gradient is not None:
+        grad_fn = lambda v: pb.lagrangian_gradient(v, mu)
+        grad = grad_fn(zero)
+    else:
+        grad = fd_gradient_of(fn, dim)
+    scale = 1.0 + abs(fn(zero))
     if np.linalg.norm(grad) > stationarity_tol * scale:
         raise NotStationaryError(
             f"pulled-back Lagrangian gradient {np.linalg.norm(grad):.3e} "
@@ -178,13 +212,19 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
             mat = 0.5 * (mat + mat.T)
             return HessianForm(base=pb.base, chart_id=pb.retraction.chart.chart_id,
                                matrix=mat, source="analytic", fd_discrepancy=0.0)
-    coarse = fd_hessian_of(fn, dim, h)
-    fine = fd_hessian_of(fn, dim, h / 2.0)
+    if grad_fn is not None:
+        source = "grad-fd"
+        coarse, fine = (0.5 * (jac + jac.T) for jac in
+                        (fd_jacobian_of(grad_fn, zero, step) for step in (h, h / 2.0)))
+    else:
+        source = "fd"
+        coarse = fd_hessian_of(fn, dim, h)
+        fine = fd_hessian_of(fn, dim, h / 2.0)
     mat = (4.0 * fine - coarse) / 3.0
     mat = 0.5 * (mat + mat.T)
     discrepancy = float(np.max(np.abs(fine - coarse))) if mat.size else 0.0
     return HessianForm(base=pb.base, chart_id=pb.retraction.chart.chart_id,
-                       matrix=mat, source="fd", fd_discrepancy=discrepancy)
+                       matrix=mat, source=source, fd_discrepancy=discrepancy)
 
 
 @dataclass
@@ -205,14 +245,16 @@ class InvarianceReport:
 
 def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
                      pullbacks: Sequence[PulledBackProblem], tol: float = 1e-5,
-                     n_samples: int = 200, seed: int = 0) -> list[InvarianceReport]:
+                     n_samples: int = 200, seed: int = 0,
+                     crit: Optional[CriticalCone] = None) -> list[InvarianceReport]:
     """Compare the pulled-back Hessians of every pair of ``pullbacks`` on the
     critical cone.
 
     Returns one report per pair ``i < j``, in the order ``(0, 1), (0, 2),
     ..., (1, 2), ...``.  The critical cone and the sampled directions are
     built once, and each pull-back's Hessian and its values on those
-    directions once, whatever the number of pairs.
+    directions once, whatever the number of pairs.  ``crit`` is the critical
+    cone of ``cert`` at ``p`` when the caller has formed it already.
 
     The multiplier is transported into each linearizing map's frame with the
     inverse-transpose transition Jacobian; sampled critical-cone directions
@@ -222,7 +264,8 @@ def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
     """
     if len(pullbacks) < 2:
         return []
-    crit = critical_cone(prob, p, cert, adapted_kind=cert.adapted_kind)
+    if crit is None:
+        crit = critical_cone(prob, p, cert, adapted_kind=cert.adapted_kind)
     cert_chart = _adapted_chart(prob, p, cert)
     # cone_m lives in the default chart frame at p
     default_chart = prob.domain.chart(p, "default")
@@ -270,30 +313,13 @@ def _adapted_chart(prob, p, cert):
     return prob.constraint_set.adapted_chart(q, kind=cert.adapted_kind).chart
 
 
-def _fd_second_tensor(fn, dim, h):
-    f0 = np.asarray(fn(np.zeros(dim)), dtype=float)
-    tensor = np.zeros((f0.size, dim, dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = h
-        tensor[:, i, i] = (np.asarray(fn(ei)) - 2.0 * f0 + np.asarray(fn(-ei))) / (h * h)
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = h
-            val = (np.asarray(fn(ei + ej)) - np.asarray(fn(ei - ej))
-                   - np.asarray(fn(-ei + ej)) + np.asarray(fn(-ei - ej))) / (4.0 * h * h)
-            tensor[:, i, j] = val
-            tensor[:, j, i] = val
-    return tensor
-
-
 def transition_second_derivative(lm1: LinearizingMap, lm2: LinearizingMap,
                                  h: float = 1e-4) -> np.ndarray:
     """Second derivative tensor of ``Theta = lm1 o lm2^{-1}`` at 0."""
     if not np.allclose(lm1.base, lm2.base, atol=1e-10):
         raise ValueError("transition needs linearizing maps with a shared base point")
     theta = lambda v: lm1(lm2.inverse(v))
-    return _fd_second_tensor(theta, lm1.dim, h)
+    return fd_hessian_of(theta, lm1.dim, h)
 
 
 def second_order_consistent(lm1: LinearizingMap, lm2: LinearizingMap,

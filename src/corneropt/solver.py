@@ -349,20 +349,13 @@ def _lagrangian_hessian(prob: ProblemInstance, pb, mu: np.ndarray) -> np.ndarray
     Jacobian, fall back to second differences of Lagrangian values.
     """
     chart = pb.eval_chart
-    if (prob.objective_grad_ambient is None or prob.constraint_jac_ambient is None
-            or chart.forward_jacobian_fn is None):
+    grad_lag = prob.pulled_back_lagrangian_gradient(
+        pb.retraction,
+        chart.forward_differential if chart.forward_jacobian_fn is not None else None)
+    if grad_lag is None:
         lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
         return fd_hessian_of(lag, pb.dim, 1e-4)
-    retraction = pb.retraction
-
-    def grad_lag(v):
-        x = retraction(v)
-        covec = np.asarray(prob.objective_grad_ambient(x), dtype=float) \
-            + np.asarray(prob.constraint_jac_ambient(x), dtype=float).T \
-            @ (chart.forward_differential(prob.constraint(x)).T @ mu)
-        return retraction.differential(v).T @ covec
-
-    hess = fd_jacobian_of(grad_lag, np.zeros(pb.dim))
+    hess = fd_jacobian_of(lambda v: grad_lag(v, mu), np.zeros(pb.dim))
     return 0.5 * (hess + hess.T)
 
 

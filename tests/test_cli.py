@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +10,27 @@ from corneropt.cli import (EXIT_BREAKDOWN, EXIT_CONFIG, EXIT_FAIL,
 from corneropt.errors import ConfigError
 
 
+_SPEC = importlib.util.spec_from_file_location(
+    "golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
+REGEN = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(REGEN)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _certify_json(capsys, tmp_path, model, params, point) -> dict:
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"model.name = {json.dumps(model)}\n" + "".join(
+        f"model.params.{k} = {json.dumps(v)}\n" for k, v in params.items()))
+    code, out, err = run(capsys, "certify", f"--config={cfg}",
+                         "--point=" + ",".join(repr(float(x)) for x in point),
+                         "--output=json")
+    assert code == EXIT_OK, err
+    return json.loads(out)
 
 
 class TestListModels:
@@ -133,13 +152,59 @@ class TestCertify:
         data = json.loads(out)
         assert data["sonc"]["status"] == "holds"
 
+    def test_text_output_prints_matrices_row_by_row(self, capsys):
+        code, out, _ = run(capsys, "certify", "--model", "remark-counterexample",
+                           "--point", "0,0")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        start = lines.index("hessian:")
+        assert lines[start + 1:start + 4] == [
+            "  matrix:", "    - [0.0, 0.0]", "    - [0.0, 0.0]"]
+        assert "  inequality_rows:" in lines and "    - [1.0, 0.0]" in lines
+
+    @pytest.mark.parametrize("params, point", [
+        ({"n_nodes": 6}, None),
+        ({"n_nodes": 6, "beta": 0.4}, REGEN.CONTROL_BETA_POINT),
+    ], ids=["beta0", "beta0.4"])
+    def test_control_model_hessian_matches_closed_form(self, capsys, tmp_path,
+                                                       params, point):
+        from corneropt.models import build_control_model
+        if point is None:
+            point = build_control_model(params).extras["reference"]["point"]
+        data = _certify_json(capsys, tmp_path, "control-model", params, point)
+        # translation retraction and shift charts: f contributes diag(1, alpha)
+        # and only the cubic term of the state equation curves g
+        n, beta = params["n_nodes"], params.get("beta", 0.0)
+        mu = np.asarray(data["kkt"]["mu_chart"])
+        closed = np.diag(np.concatenate([1.0 + 6.0 * beta * np.asarray(point[:n]) * mu[n:],
+                                         np.ones(n)]))
+        assert data["hessian"]["source"] == "grad-fd"
+        np.testing.assert_allclose(data["hessian"]["matrix"], closed, atol=1e-9, rtol=0)
+
+    def test_sphere_polygon_hessian_matches_closed_form(self, capsys, tmp_path):
+        # exp retraction and log map at the same point: the constraint term is
+        # linear in v and f(exp_p(v)) = -cos|v| <p, t> - sinc|v| <v, t>
+        from corneropt.models import SPHERE_POLYGON_DEFAULTS, build_sphere_polygon
+        point = build_sphere_polygon().extras["reference"]["point"]
+        data = _certify_json(capsys, tmp_path, "sphere-polygon", {}, point)
+        closed = float(point @ np.asarray(SPHERE_POLYGON_DEFAULTS["target"])) * np.eye(2)
+        assert data["hessian"]["source"] == "grad-fd"
+        np.testing.assert_allclose(data["hessian"]["matrix"], closed, atol=1e-9, rtol=0)
+
+    def test_circle_model_keeps_value_differences(self, capsys, tmp_path):
+        data = _certify_json(capsys, tmp_path, "control-model",
+                             {"n_nodes": 3, "variant": "circle"},
+                             REGEN.CONTROL_CIRCLE_POINT)
+        assert data["hessian"]["source"] == "fd"
+
     def test_control_model_hessian_and_cone_budget(self, capsys, monkeypatch, tmp_path):
         # five pull-backs (the certificate's and four in the invariance
-        # section): comparing them pairwise once took 13 Hessians and 7
-        # critical cones
+        # section), four of them distinct: comparing them pairwise once took
+        # 13 Hessians and 7 critical cones, and value differences took 3,015
+        # Lagrangian values
         from corneropt import cli, secondorder
         from corneropt.models import build_control_model
-        counts = {"lagrangian_hessian": 0, "critical_cone": 0}
+        counts = {"lagrangian_hessian": 0, "critical_cone": 0, "lagrangian_value": 0}
         for name in counts:
             original = getattr(secondorder, name)
 
@@ -148,7 +213,8 @@ class TestCertify:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(secondorder, name, counted)
-            monkeypatch.setattr(cli, name, counted)
+            if hasattr(cli, name):
+                monkeypatch.setattr(cli, name, counted)
         cfg = tmp_path / "c.cfg"
         cfg.write_text('model.name = "control-model"\nmodel.params.n_nodes = 6\n')
         point = build_control_model({"n_nodes": 6}).extras["reference"]["point"]
@@ -156,8 +222,9 @@ class TestCertify:
                            "--point=" + ",".join(map(str, point)), "--output=json")
         assert code == EXIT_OK
         assert json.loads(out)["invariance"]["passed"]
-        assert counts["lagrangian_hessian"] <= 5
-        assert counts["critical_cone"] <= 2
+        assert counts["lagrangian_hessian"] <= 4, counts
+        assert counts["critical_cone"] <= 1
+        assert counts["lagrangian_value"] <= 10, counts
 
 
 class TestSolve:

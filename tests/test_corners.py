@@ -12,7 +12,8 @@ from corneropt.corners import (AdaptedChartData, CornerSet, CircleZeroSection,
                                zero_tangent_space)
 from corneropt.errors import (BadParamsError, NotInSetError,
                               ValidationFailureError)
-from corneropt.geometry import Chart, CircleCotangent, Euclidean, Sphere, axiom_check
+from corneropt.geometry import (Chart, CircleCotangent, Euclidean, Sphere, axiom_check,
+                                fd_jacobian_of)
 
 
 def orthant2():
@@ -237,6 +238,47 @@ class TestAdaptedness:
             lm = zero.linearizing_map(y, kind)
             assert axiom_check(lm).passed
             assert check_adapted(lm, zero, y).adapted
+
+
+def _model_constraint_points():
+    """``(model, g(p))`` at a feasible point of every built-in model."""
+    from corneropt.models import build_model
+    out = []
+    for name, params in (("classical-nlp", {}), ("sphere-polygon", {}),
+                         ("control-model", {"n_nodes": 4}),
+                         ("remark-counterexample", {})):
+        prob = build_model(name, params)
+        out.append((prob, prob.constraint(prob.extras["reference"]["point"])))
+    prob = build_model("diagonal-constraint")
+    out.append((prob, prob.constraint(np.array([0.0, 0.0, 1.0]))))
+    prob = build_model("control-model", {"n_nodes": 3, "variant": "circle"})
+    out.append((prob, prob.constraint_set.project(
+        prob.codomain.random_point(np.random.default_rng(2)))))
+    return out
+
+
+@pytest.mark.parametrize("prob, q", _model_constraint_points(),
+                         ids=lambda x: getattr(x, "name", ""))
+def test_linearizing_map_differential_matches_fd(prob, q):
+    # closed forms exist where the adapted chart has an analytic forward
+    # Jacobian: not on the diagonal's chart nor on the trivialised bundle
+    closed = prob.name not in ("diagonal-constraint", "control-model-circle")
+    chart = prob.codomain.chart(q, "default")
+    rng = np.random.default_rng(5)
+    for kind in prob.constraint_set.linmap_kinds:
+        lm = prob.constraint_set.linearizing_map(q, kind)
+        assert (lm.differential_fn is not None) == closed, (kind, lm.name)
+        if not closed:
+            continue
+        assert lm.name in ("chart", "bent", "log", "gnomonic")
+        for _ in range(3):
+            # points of the codomain near q, parametrised by its own chart
+            x = rng.standard_normal(chart.dim)
+            x *= 0.1 * min(lm.domain_radius, chart.radius, 1.0) / np.linalg.norm(x)
+            along = lm.differential(chart.inverse(x)) @ chart.differential_at(x)
+            np.testing.assert_allclose(
+                along, fd_jacobian_of(lambda z: lm(chart.inverse(z)), x),
+                atol=1e-8)
 
 
 class TestBadParams:

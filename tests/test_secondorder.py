@@ -26,7 +26,8 @@ def remark():
 
 
 def fd_only(pb):
-    """Copy of a pull-back with the analytic Hessian hook removed."""
+    """Copy of a pull-back with the analytic Hessian hook and the analytic
+    Lagrangian gradient removed: its Hessians come from value differences."""
     return PulledBackProblem(
         base=pb.base, retraction=pb.retraction, linmap=pb.linmap,
         f_bar=pb.f_bar, g_bar=pb.g_bar, cone_bar=pb.cone_bar,
@@ -184,6 +185,34 @@ class TestLagrangianHessian:
         pb = build_pullback(prob, np.array([-0.5, 0.0]))
         with pytest.raises(NotStationaryError):
             lagrangian_hessian(pb, np.zeros(2))
+
+    def test_not_stationary_raises_on_gradient_path(self):
+        prob = build_sphere_polygon()
+        point = np.array([0.6, 0.5, 0.2]) / np.linalg.norm([0.6, 0.5, 0.2])
+        pb = build_pullback(prob, point)
+        assert pb.lagrangian_gradient is not None
+        with pytest.raises(NotStationaryError):
+            lagrangian_hessian(pb, np.zeros(2))
+
+    @pytest.mark.parametrize("model, params", [
+        ("sphere-polygon", {}),
+        ("classical-nlp", {"seed": 14}),
+        ("control-model", {"n_nodes": 4, "beta": 0.0}),
+    ])
+    def test_gradient_differences_agree_with_value_differences(self, model, params):
+        from corneropt.models import build_model
+        prob = build_model(model, params)
+        point = prob.extras["reference"]["point"]
+        cert = solve_kkt(prob, point)
+        kinds = [k for k in prob.domain.retraction_kinds if k != "default"][:2]
+        for retr in kinds:
+            for lm in prob.constraint_set.linmap_kinds[:2]:
+                pb = build_pullback(prob, point, retraction_kind=retr, linmap_kind=lm)
+                grad_fd = lagrangian_hessian(pb, cert.mu_chart)
+                assert grad_fd.source in ("grad-fd", "analytic")
+                value_fd = lagrangian_hessian(fd_only(pb), cert.mu_chart)
+                assert value_fd.source == "fd"
+                np.testing.assert_allclose(grad_fd.matrix, value_fd.matrix, atol=1e-6)
 
     def test_symmetry_invariant(self):
         prob = build_sphere_polygon()
