@@ -271,8 +271,7 @@ def _invariance_section(prob, point, cert, seed: int, crit=None):
     section["kkt_residual_alternate_charts"] = chart_switch_residual(
         prob, point, cert, chart_alt, adapted_alt)
     section["cone_membership"] = cone_membership_agreement(
-        prob, point, n_samples=500, seed=seed,
-        pair_a=("default", "default"), pair_b=(chart_alt, adapted_alt))
+        prob, point, pair_a=("default", "default"), pair_b=(chart_alt, adapted_alt))
     labels, pullbacks = [], []
     for retr in retr_kinds[:2] or ["default"]:
         for lm in linmap_kinds[:2]:

@@ -175,6 +175,28 @@ def polar_contains(cone: PolyhedralCone, mu: np.ndarray,
     return residual <= tol, cert
 
 
+def cone_disagreements(cone_a: PolyhedralCone, cone_b: PolyhedralCone,
+                       transition_jac: np.ndarray) -> int:
+    """Number of rows of either cone that are not valid on the other.
+
+    Vectors transport as ``v_b = J v_a``, so ``cone_b``'s rows act in
+    ``cone_a``'s chart as ``rows @ J``.  A cone lies in another iff every
+    inequality row of the other, and both signs of every equality row, is in
+    its polar (Farkas), one :func:`polar_contains` per sign; the count is 0
+    iff the two cones are the same.
+    """
+    moved = PolyhedralCone.from_rows(cone_b.a_ineq @ transition_jac,
+                                     cone_b.a_eq @ transition_jac, cone_a.dim)
+
+    def invalid_rows(inner, outer):
+        failures = sum(not polar_contains(inner, row)[0] for row in outer.a_ineq)
+        return failures + sum(not (polar_contains(inner, row)[0]
+                                   and polar_contains(inner, -row)[0])
+                              for row in outer.a_eq)
+
+    return invalid_rows(cone_a, moved) + invalid_rows(moved, cone_a)
+
+
 def face(cone: PolyhedralCone, active: Iterable[int]) -> PolyhedralCone:
     """The face obtained by turning the ``active`` inequality rows into equalities."""
     active = sorted(set(int(i) for i in active))

@@ -6,11 +6,12 @@ with the adapted corner description ``(A_hat, W)`` at ``g(p)``:
 * transversality:  ``rank [G | basis(T_q K)] = n``
 * MFCQ:            ``W G`` surjective and a strictly feasible direction
                    exists (found by a small LP with a margin variable)
-* ZKRCQ:           direct feasibility of ``+-e_j = G w - u`` with ``u`` in
-                   the inner tangent cone, one LP per signed unit vector --
-                   an independent path kept for cross-validating the
-                   MFCQ equivalence
+* ZKRCQ:           rank test + <=1 Gordan LP: ``image G - T^i`` is the
+                   whole space iff its polar is ``{0}``
 * LICQ:            ``rank(B G) = l + (n - k)`` with ``B = [A; W]``
+
+Cross-chart membership compares linearizing cones exactly, by row
+certificates of the polar (:func:`cone_membership_agreement`).
 
 Multiplier recovery solves the nonnegatively constrained least-squares
 problem ``min | grad f + G^T (A^T lambda_I + W^T lambda_E) |`` over
@@ -32,6 +33,7 @@ from .problem import ProblemInstance
 
 TOL_KKT = 1e-8
 TOL_ACT = 1e-7
+TOL_FEAS_CLASSICAL = 1e-9
 
 
 @dataclass
@@ -69,31 +71,24 @@ def _chart_data(prob: ProblemInstance, p, chart_kind: str, adapted_kind: str):
     return chart_m, data, jac
 
 
-def check_transversality(prob: ProblemInstance, p, tol: float = 1e-8,
-                         chart_kind: str = "default",
-                         adapted_kind: str = "default") -> bool:
-    """True iff ``image g'(p) - T_q K`` spans the whole tangent space at g(p)."""
-    _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
+def _transversal(data, jac, tol) -> bool:
     tk_basis = null_space(data.equality_rows(), data.n)
     stacked = np.hstack([jac, tk_basis]) if tk_basis.size else jac
     return matrix_rank(stacked, rtol=tol) == data.n
 
 
-def check_mfcq(prob: ProblemInstance, p, tol: float = 1e-8,
-               chart_kind: str = "default", adapted_kind: str = "default"):
-    """Surjectivity of ``W G`` plus a strictly feasible direction.
-
-    Returns ``(holds, witness)`` where the witness solves the margin LP
-    ``max s`` subject to ``W G x = 0``, ``A G x + s <= 0`` and
-    ``|x|_inf <= 1``.
-    """
-    _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    m = jac.shape[1]
+def _wg_surjective(data, jac, tol) -> bool:
     wg = data.equality_rows() @ jac
-    if wg.size and matrix_rank(wg, rtol=tol) < data.n - data.k:
+    return not wg.size or matrix_rank(wg, rtol=tol) == data.n - data.k
+
+
+def _mfcq(data, jac, tol):
+    m = jac.shape[1]
+    if not _wg_surjective(data, jac, tol):
         return False, None
     if data.ell == 0:
         return True, np.zeros(m)
+    wg = data.equality_rows() @ jac
     ag = data.inequality_rows() @ jac
     # variables (x, s); maximize s
     c = np.zeros(m + 1)
@@ -113,59 +108,72 @@ def check_mfcq(prob: ProblemInstance, p, tol: float = 1e-8,
     return True, res.x[:m]
 
 
+def _zkrcq(data, jac, tol) -> bool:
+    """``image G - T^i = R^n`` iff its polar, the ``y = -(A^T lam + W^T nu)``
+    with ``lam >= 0`` and ``G^T y = 0``, is ``{0}``.  The rows of ``[A; W]``
+    are independent, so ``lam = 0`` gives ``y != 0`` iff ``W G`` is not
+    surjective, and ``lam != 0`` scales to ``1^T lam = 1`` (Gordan's LP).
+    """
+    if not _wg_surjective(data, jac, tol):
+        return False
+    if data.ell == 0:
+        return True
+    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
+    n_free = data.n - data.k
+    a_eq = np.vstack([jac.T @ rows.T, np.r_[np.ones(data.ell), np.zeros(n_free)]])
+    res = scipy.optimize.linprog(
+        np.zeros(rows.shape[0]), A_eq=a_eq, b_eq=np.r_[np.zeros(jac.shape[1]), 1.0],
+        bounds=[(0.0, None)] * data.ell + [(None, None)] * n_free, method="highs")
+    return res.status == 2  # proven infeasible: the polar is {0}
+
+
+def _licq(data, jac, tol) -> bool:
+    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
+    return rows.size == 0 or matrix_rank(rows @ jac, rtol=tol) == rows.shape[0]
+
+
+def check_transversality(prob: ProblemInstance, p, tol: float = 1e-8,
+                         chart_kind: str = "default",
+                         adapted_kind: str = "default") -> bool:
+    """True iff ``image g'(p) - T_q K`` spans the whole tangent space at g(p)."""
+    return _transversal(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
+
+
+def check_mfcq(prob: ProblemInstance, p, tol: float = 1e-8,
+               chart_kind: str = "default", adapted_kind: str = "default"):
+    """Surjectivity of ``W G`` plus a strictly feasible direction.
+
+    Returns ``(holds, witness)`` where the witness solves the margin LP
+    ``max s`` subject to ``W G x = 0``, ``A G x + s <= 0`` and
+    ``|x|_inf <= 1``.
+    """
+    return _mfcq(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
+
+
 def check_zkrcq(prob: ProblemInstance, p, tol: float = 1e-8,
                 chart_kind: str = "default", adapted_kind: str = "default") -> bool:
-    """Feasibility of ``y = G w - u`` with ``u`` in the inner tangent cone.
-
-    The cone ``image G - T^i`` is convex, so it equals the whole space iff it
-    contains every signed unit vector; that gives ``2n`` feasibility LPs.
-    """
-    _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    n = data.n
-    m = jac.shape[1]
-    rows_i = data.inequality_rows()
-    rows_e = data.equality_rows()
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            target = np.zeros(n)
-            target[j] = sign
-            # variables z = (w, u): G w - u = target, A u <= 0, W u = 0
-            a_eq = np.hstack([jac, -np.eye(n)])
-            b_eq = target
-            if rows_e.size:
-                a_eq = np.vstack([a_eq, np.hstack([np.zeros((rows_e.shape[0], m)), rows_e])])
-                b_eq = np.concatenate([b_eq, np.zeros(rows_e.shape[0])])
-            a_ub = np.hstack([np.zeros((data.ell, m)), rows_i]) if data.ell else None
-            b_ub = np.zeros(data.ell) if data.ell else None
-            res = scipy.optimize.linprog(
-                np.zeros(m + n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                bounds=[(None, None)] * (m + n), method="highs")
-            if not res.success:
-                return False
-    return True
+    """Whether ``image G - T^i`` (``T^i`` the inner tangent cone) is the whole
+    space: a rank test on ``W G`` plus, when ``l > 0``, one Gordan LP."""
+    return _zkrcq(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
 
 
 def check_licq(prob: ProblemInstance, p, tol: float = 1e-8,
                chart_kind: str = "default", adapted_kind: str = "default") -> bool:
     """Surjectivity of ``B G`` with ``B`` stacking the corner rows."""
-    _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
-    if rows.size == 0:
-        return True
-    return matrix_rank(rows @ jac, rtol=tol) == rows.shape[0]
+    return _licq(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
 
 
 def cq_report(prob: ProblemInstance, p, tol: float = 1e-8,
               chart_kind: str = "default", adapted_kind: str = "default") -> CQReport:
     _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    mfcq, witness = check_mfcq(prob, p, tol, chart_kind, adapted_kind)
+    mfcq, witness = _mfcq(data, jac, tol)
     rows = np.vstack([data.inequality_rows(), data.equality_rows()])
     rank_bg = matrix_rank(rows @ jac) if rows.size else 0
     return CQReport(
-        transversal=check_transversality(prob, p, tol, chart_kind, adapted_kind),
-        zkrcq=check_zkrcq(prob, p, tol, chart_kind, adapted_kind),
+        transversal=_transversal(data, jac, tol),
+        zkrcq=_zkrcq(data, jac, tol),
         mfcq=mfcq,
-        licq=check_licq(prob, p, tol, chart_kind, adapted_kind),
+        licq=_licq(data, jac, tol),
         mfcq_witness=witness,
         rank_data={
             "rank_constraint_jacobian": matrix_rank(jac),
@@ -255,34 +263,23 @@ def chart_switch_residual(prob: ProblemInstance, p, cert: KKTCertificate,
     return stationarity_residual(prob, p, mu_new, chart_kind, adapted_kind)
 
 
-def cone_membership_agreement(prob: ProblemInstance, p, n_samples: int = 500,
-                              seed: int = 0,
+def cone_membership_agreement(prob: ProblemInstance, p,
                               pair_a=("default", "default"),
                               pair_b=("alt", "alt")) -> dict:
-    """Compare linearizing-cone membership across two chart representations.
+    """Exact equality of the linearizing cones of two chart representations.
 
-    Random directions are drawn in the first representation, transported with
-    the transition Jacobian, and classified in both; the decisions must
-    agree for the cones to describe the same object.
+    ``disagreements`` counts the rows of either cone that are not valid on
+    the other once both act in the first chart (:func:`cones.cone_disagreements`);
+    it is 0 iff the cones describe the same object.
     """
-    from .cones import linearizing_cone
+    from .cones import cone_disagreements, linearizing_cone
     from .geometry import transition_jacobian
 
-    chart_a = prob.domain.chart(p, pair_a[0])
-    chart_b = prob.domain.chart(p, pair_b[0])
     cone_a = linearizing_cone(prob, p, chart_kind=pair_a[0], adapted_kind=pair_a[1])
     cone_b = linearizing_cone(prob, p, chart_kind=pair_b[0], adapted_kind=pair_b[1])
-    trans = transition_jacobian(chart_a, chart_b)
-    rng = np.random.default_rng(seed)
-    disagreements = 0
-    for _ in range(n_samples):
-        v = rng.standard_normal(chart_a.dim)
-        v /= np.linalg.norm(v)
-        in_a = cone_a.contains(v, 1e-9)
-        in_b = cone_b.contains(trans @ v, 1e-9)
-        if in_a != in_b:
-            disagreements += 1
-    return {"n_samples": n_samples, "disagreements": disagreements}
+    trans = transition_jacobian(prob.domain.chart(p, pair_a[0]),
+                                prob.domain.chart(p, pair_b[0]))
+    return {"disagreements": cone_disagreements(cone_a, cone_b, trans)}
 
 
 @dataclass
@@ -332,5 +329,3 @@ def classical_report(cert: KKTCertificate, prob: ProblemInstance, p) -> Classica
         gradient_residual=float(np.linalg.norm(residual)),
         constraint_values_ineq=g_val[list(info["ineq_idx"])])
 
-
-TOL_FEAS_CLASSICAL = 1e-9

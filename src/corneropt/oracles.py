@@ -140,6 +140,61 @@ def tangent_cone_oracle(prob: ProblemInstance, p: np.ndarray, v_rep: np.ndarray,
     return bool(decreasing and gaps[-1] < target)
 
 
+def zkrcq_primal(jac: np.ndarray, rows_ineq: np.ndarray, rows_eq: np.ndarray) -> bool:
+    """ZKRCQ by direct feasibility of ``y = G w - u``, ``A u <= 0``, ``W u = 0``.
+
+    The cone ``image G - T^i`` is convex, so it equals the whole space iff it
+    contains every signed unit vector; that gives ``2n`` feasibility LPs, a
+    path independent of the polar (Gordan) form in ``firstorder``.
+    """
+    n, m = jac.shape
+    ell = rows_ineq.shape[0]
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            target = np.zeros(n)
+            target[j] = sign
+            # variables z = (w, u): G w - u = target, A u <= 0, W u = 0
+            a_eq = np.hstack([jac, -np.eye(n)])
+            b_eq = target
+            if rows_eq.size:
+                a_eq = np.vstack([a_eq, np.hstack([np.zeros((rows_eq.shape[0], m)), rows_eq])])
+                b_eq = np.concatenate([b_eq, np.zeros(rows_eq.shape[0])])
+            a_ub = np.hstack([np.zeros((ell, m)), rows_ineq]) if ell else None
+            b_ub = np.zeros(ell) if ell else None
+            res = scipy.optimize.linprog(
+                np.zeros(m + n), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                bounds=[(None, None)] * (m + n), method="highs")
+            if not res.success:
+                return False
+    return True
+
+
+def cone_membership_sampled(prob: ProblemInstance, p: np.ndarray, n_samples: int,
+                            seed: int, pair_a=("default", "default"),
+                            pair_b=("alt", "alt")) -> int:
+    """Disagreements of linearizing-cone membership across two representations.
+
+    Random unit directions are drawn in the first representation,
+    transported with the transition Jacobian, and classified in both.
+    """
+    from .cones import linearizing_cone
+    from .geometry import transition_jacobian
+
+    chart_a = prob.domain.chart(p, pair_a[0])
+    chart_b = prob.domain.chart(p, pair_b[0])
+    cone_a = linearizing_cone(prob, p, chart_kind=pair_a[0], adapted_kind=pair_a[1])
+    cone_b = linearizing_cone(prob, p, chart_kind=pair_b[0], adapted_kind=pair_b[1])
+    trans = transition_jacobian(chart_a, chart_b)
+    rng = np.random.default_rng(seed)
+    disagreements = 0
+    for _ in range(n_samples):
+        v = rng.standard_normal(chart_a.dim)
+        v /= np.linalg.norm(v)
+        if cone_a.contains(v, 1e-9) != cone_b.contains(trans @ v, 1e-9):
+            disagreements += 1
+    return disagreements
+
+
 @dataclass
 class SearchRegion:
     """Candidate generator for :func:`grid_minimize`.

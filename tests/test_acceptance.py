@@ -24,7 +24,8 @@ from corneropt.geometry import (CircleCotangent, CircleProduct, Euclidean,
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_diagonal_constraint,
                               build_remark_counterexample, build_sphere_polygon)
-from corneropt.oracles import grid_minimize, tangent_cone_oracle
+from corneropt.oracles import (cone_membership_sampled, grid_minimize,
+                               tangent_cone_oracle, zkrcq_primal)
 from corneropt.problem import ProblemInstance
 from corneropt.secondorder import (build_pullback, critical_cone,
                                    invariance_check, lagrangian_hessian,
@@ -139,8 +140,14 @@ def _builtin_certified_points():
     return out
 
 
+def _zkrcq_oracle(prob, point) -> bool:
+    chart_m, data = prob.chart_pair(point)
+    jac = prob.constraint_jacobian(point, chart_m, data.chart)
+    return zkrcq_primal(jac, data.inequality_rows(), data.equality_rows())
+
+
 def test_criterion_3_cq_equivalence_and_chain():
-    with _Criterion(3, "MFCQ == ZKRCQ and LICQ => ZKRCQ => transversality"):
+    with _Criterion(3, "MFCQ == ZKRCQ == 2n-LP oracle, LICQ => ZKRCQ => transversality"):
         rng = np.random.default_rng(33)
         disagreements = 0
         for _ in range(200):
@@ -155,7 +162,7 @@ def test_criterion_3_cq_equivalence_and_chain():
             zkrcq = check_zkrcq(prob, point)
             licq = check_licq(prob, point)
             trans = check_transversality(prob, point)
-            if mfcq != zkrcq:
+            if mfcq != zkrcq or zkrcq != _zkrcq_oracle(prob, point):
                 disagreements += 1
             assert (not licq) or zkrcq
             assert (not zkrcq) or trans
@@ -166,6 +173,7 @@ def test_criterion_3_cq_equivalence_and_chain():
             licq = check_licq(prob, point)
             trans = check_transversality(prob, point)
             assert mfcq == zkrcq, name
+            assert zkrcq == _zkrcq_oracle(prob, point), name
             assert (not licq) or zkrcq, name
             assert (not zkrcq) or trans, name
 
@@ -210,12 +218,11 @@ def test_criterion_4_chart_and_retraction_invariance():
                             and report.hessian_2.source == "analytic")
                 tol = 1e-9 if analytic else 1e-5
                 assert report.max_on_cone <= tol, (name, k, report.max_on_cone)
-            # (c) cone membership decisions across representations
-            agree = cone_membership_agreement(
-                prob, point, n_samples=500, seed=4,
-                pair_a=("default", "default"),
-                pair_b=(chart_alt, adapted_alt))
+            # (c) cone membership across representations: exact, and sampled
+            pairs = dict(pair_a=("default", "default"), pair_b=(chart_alt, adapted_alt))
+            agree = cone_membership_agreement(prob, point, **pairs)
             assert agree["disagreements"] == 0, name
+            assert cone_membership_sampled(prob, point, 500, 4, **pairs) == 0, name
 
 
 def test_criterion_5_sphere_polygon_end_to_end(tmp_path, capsys):

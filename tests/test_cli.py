@@ -226,6 +226,60 @@ class TestCertify:
         assert counts["critical_cone"] <= 1
         assert counts["lagrangian_value"] <= 10, counts
 
+    @staticmethod
+    def _first_order_counts(monkeypatch):
+        """Count HiGHS calls made from ``firstorder`` and cone membership tests
+        made inside ``cone_membership_agreement``."""
+        import sys
+
+        import scipy.optimize
+
+        from corneropt import cli, cones
+        counts = {"firstorder_lps": 0, "agreement_contains": 0, "inside": False}
+        linprog, contains = scipy.optimize.linprog, cones.PolyhedralCone.contains
+        agreement = cli.cone_membership_agreement
+
+        def counted_linprog(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "corneropt.firstorder":
+                counts["firstorder_lps"] += 1
+            return linprog(*args, **kwargs)
+
+        def counted_contains(self, *args, **kwargs):
+            counts["agreement_contains"] += counts["inside"]
+            return contains(self, *args, **kwargs)
+
+        def counted_agreement(*args, **kwargs):
+            counts["inside"] = True
+            try:
+                return agreement(*args, **kwargs)
+            finally:
+                counts["inside"] = False
+
+        monkeypatch.setattr(scipy.optimize, "linprog", counted_linprog)
+        monkeypatch.setattr(cones.PolyhedralCone, "contains", counted_contains)
+        monkeypatch.setattr(cli, "cone_membership_agreement", counted_agreement)
+        return counts
+
+    def test_control_model_first_order_budget(self, capsys, monkeypatch, tmp_path):
+        # no inequality rows: ZKRCQ is the rank test alone (2n = 24 LPs once),
+        # and cone agreement is exact (1,000 sampled membership tests once)
+        from corneropt.models import build_control_model
+        counts = self._first_order_counts(monkeypatch)
+        data = _certify_json(capsys, tmp_path, "control-model", {"n_nodes": 6},
+                             build_control_model({"n_nodes": 6}).extras["reference"]["point"])
+        assert data["cq"]["zkrcq"] and data["invariance"]["passed"]
+        assert counts["firstorder_lps"] == 0, counts
+        assert counts["agreement_contains"] == 0, counts
+
+    def test_classical_first_order_budget(self, capsys, monkeypatch, tmp_path):
+        # the MFCQ margin LP plus at most one Gordan LP (2n + 1 LPs once)
+        from corneropt.models import build_classical_nlp
+        counts = self._first_order_counts(monkeypatch)
+        data = _certify_json(capsys, tmp_path, "classical-nlp", {"seed": 14},
+                             build_classical_nlp({"seed": 14}).extras["reference"]["point"])
+        assert data["cq"]["zkrcq"] and data["cq"]["mfcq"]
+        assert counts["firstorder_lps"] <= 2, counts
+
 
 class TestSolve:
     def test_sphere_polygon_converges(self, capsys):

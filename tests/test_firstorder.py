@@ -1,9 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from corneropt.cones import linearizing_cone, sample_cone
+from corneropt.cones import (PolyhedralCone, cone_disagreements, face,
+                             linearizing_cone, sample_cone, transport_cone)
 from corneropt.corners import EuclideanCornerSet
 from corneropt.errors import InfeasiblePointError, ModelMismatchError, NoMultiplierError
 from corneropt.firstorder import (chart_switch_residual, check_licq, check_mfcq,
@@ -14,6 +19,7 @@ from corneropt.firstorder import (chart_switch_residual, check_licq, check_mfcq,
 from corneropt.geometry import Euclidean, Sphere
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_remark_counterexample, build_sphere_polygon)
+from corneropt.oracles import cone_membership_sampled, zkrcq_primal
 from corneropt.problem import ProblemInstance
 
 
@@ -76,6 +82,126 @@ class TestMfcqZkrcq:
             x = prob.extras["reference"]["point"]
             mfcq, _ = check_mfcq(prob, x)
             assert mfcq == check_zkrcq(prob, x), trial
+
+
+class LinearCornerSet(EuclideanCornerSet):
+    """``K = {y : A_hat y_{1..k} <= 0, y_{k+1..n} = 0}`` for any full-row-rank
+    ``A_hat``; its adapted chart at 0 is the identity."""
+
+    def __init__(self, n, a_hat):
+        super().__init__(n, ineq=(), eq=range(a_hat.shape[1], n))
+        self.a_hat = a_hat
+
+    def adapted_chart(self, q, kind="default", active_tol=1e-9):
+        data = super().adapted_chart(q, kind, active_tol)
+        return dataclasses.replace(data, ell=self.a_hat.shape[0], a_hat=self.a_hat)
+
+
+SMALL_INTS = st.integers(-3, 3)
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None,
+                             suppress_health_check=[HealthCheck.filter_too_much])
+CQ_PLANTS = ("random", "ell0", "surjective", "wg-deficient", "gordan")
+
+
+def int_matrix(draw, rows, cols):
+    return draw(hnp.arrays(np.int64, (rows, cols), elements=SMALL_INTS)).astype(float)
+
+
+@st.composite
+def cq_instances(draw):
+    """``(G, A_hat, n - k, plant)`` with small integer entries, so that every
+    planted degeneracy is exact in floating point."""
+    plant = draw(st.sampled_from(CQ_PLANTS))
+    n = draw(st.integers(1, 5))
+    n_eq = draw(st.integers(1 if plant == "wg-deficient" else 0,
+                            n - 1 if plant == "gordan" else n))
+    k = n - n_eq
+    ell = 0 if plant == "ell0" else draw(st.integers(1 if plant == "gordan" else 0, k))
+    a_hat = int_matrix(draw, ell, k)
+    assume(np.linalg.matrix_rank(a_hat) == ell)
+    m = draw(st.integers(n if plant == "surjective" else 1, 6))
+    g_mat = int_matrix(draw, n, m)
+    if plant == "surjective":
+        # a unit lower-triangular block makes G onto
+        g_mat[:, :n] = np.tril(g_mat[:, :n], -1) + np.eye(n)
+    elif plant == "wg-deficient":
+        # the last row of W G repeats a multiple of another (or vanishes)
+        g_mat[-1] = draw(SMALL_INTS) * g_mat[k] if n_eq > 1 else 0.0
+    elif plant == "gordan":
+        # G^T y = 0 for y = A^T lam + W^T nu with lam >= 0, lam != 0
+        lam = draw(hnp.arrays(np.int64, ell, elements=st.integers(0, 3))).astype(float)
+        lam[0] += 1.0
+        y = np.concatenate([a_hat.T @ lam, int_matrix(draw, n_eq, 1).ravel()])
+        g_mat = (y @ y) * g_mat - np.outer(y, y @ g_mat)
+    return g_mat, a_hat, n_eq, plant
+
+
+class TestZkrcqProperties:
+    @PROPERTY_SETTINGS
+    @given(cq_instances())
+    def test_gordan_form_matches_primal_oracle(self, instance):
+        g_mat, a_hat, n_eq, plant = instance
+        n, m = g_mat.shape
+        prob = ProblemInstance(
+            domain=Euclidean(m), codomain=Euclidean(n),
+            constraint_set=LinearCornerSet(n, a_hat),
+            objective=lambda x: 0.0, constraint=lambda x: g_mat @ x,
+            objective_grad_ambient=lambda x: np.zeros(m),
+            constraint_jac_ambient=lambda x: g_mat)
+        point = np.zeros(m)
+        rows_i = np.hstack([a_hat, np.zeros((a_hat.shape[0], n_eq))])
+        rows_e = np.hstack([np.zeros((n_eq, n - n_eq)), np.eye(n_eq)])
+        zkrcq = check_zkrcq(prob, point)
+        assert zkrcq == zkrcq_primal(g_mat, rows_i, rows_e)
+        assert zkrcq == check_mfcq(prob, point)[0]
+        if plant == "surjective":
+            assert zkrcq
+        elif plant in ("wg-deficient", "gordan"):
+            assert not zkrcq
+
+
+@st.composite
+def cone_and_transition(draw):
+    """An irredundant cone (rows of full row rank) and a well-conditioned
+    transition Jacobian ``J``."""
+    dim = draw(st.integers(1, 5))
+    n_ineq = draw(st.integers(0, dim))
+    n_eq = draw(st.integers(0 if n_ineq else 1, dim - n_ineq))
+    rows = int_matrix(draw, n_ineq + n_eq, dim)
+    assume(np.linalg.matrix_rank(rows) == n_ineq + n_eq)
+    jac = 3.0 * np.eye(dim) + int_matrix(draw, dim, dim) / 3.0
+    assume(np.linalg.cond(jac) < 1e2)
+    return PolyhedralCone.from_rows(rows[:n_ineq], rows[n_ineq:], dim), jac
+
+
+class TestConeEqualityProperties:
+    @PROPERTY_SETTINGS
+    @given(cone_and_transition())
+    def test_transported_cone_is_equal(self, case):
+        cone, jac = case
+        assert cone_disagreements(cone, transport_cone(cone, jac), jac) == 0
+
+    @PROPERTY_SETTINGS
+    @given(cone_and_transition(), st.data())
+    def test_dropped_flipped_or_tightened_row_is_found(self, case, data):
+        cone, jac = case
+        moved = transport_cone(cone, jac)
+        n_rows = cone.n_ineq + cone.n_eq
+        drop = data.draw(st.integers(0, n_rows - 1))
+        keep_i = [i for i in range(cone.n_ineq) if i != drop]
+        keep_e = [j for j in range(cone.n_eq) if j + cone.n_ineq != drop]
+        dropped = PolyhedralCone.from_rows(moved.a_ineq[keep_i], moved.a_eq[keep_e],
+                                           cone.dim)
+        assert cone_disagreements(cone, dropped, jac) >= 1
+        if cone.n_ineq:
+            flip = data.draw(st.integers(0, cone.n_ineq - 1))
+            flipped_rows = moved.a_ineq.copy()
+            flipped_rows[flip] *= -1.0
+            flipped = PolyhedralCone.from_rows(flipped_rows, moved.a_eq, cone.dim)
+            assert cone_disagreements(cone, flipped, jac) >= 1
+            # a proper face: the row becomes an equality
+            assert cone_disagreements(cone, face(moved, [flip]), jac) >= 1
 
 
 class TestLicq:
@@ -239,10 +365,9 @@ class TestChartIndependence:
     def test_membership_agreement(self):
         prob = build_classical_nlp({"seed": 6})
         point = prob.extras["reference"]["point"]
-        result = cone_membership_agreement(prob, point, n_samples=200, seed=1,
-                                           pair_a=("default", "default"),
-                                           pair_b=("alt", "scaled"))
-        assert result["disagreements"] == 0
+        pairs = dict(pair_a=("default", "default"), pair_b=("alt", "scaled"))
+        assert cone_membership_agreement(prob, point, **pairs) == {"disagreements": 0}
+        assert cone_membership_sampled(prob, point, 200, 1, **pairs) == 0
 
 
 class TestFirstOrderNecessity:
