@@ -364,15 +364,44 @@ class TestVerdicts:
         hess = lagrangian_hessian(pb, cert.mu_chart)
         assert sosc_check(hess, crit).holds
 
+    def test_minimum_on_a_face_of_two_rows(self):
+        # orthant v >= 0 in R^3; the off-diagonal entries are positive, so
+        # v^T H v >= H_11 v_1^2 + ... >= 0 on the orthant, with 0 only at e_1:
+        # a ray cut out by the two rows v_2 = 0 and v_3 = 0
+        hess = HessianForm(base=np.zeros(3), chart_id="",
+                           matrix=np.array([[0.0, 1.0, 1.0],
+                                            [1.0, 3.0, 1.0],
+                                            [1.0, 1.0, 3.0]]))
+        cone = PolyhedralCone.from_rows(-np.eye(3), None, 3)
+        crit = CriticalCone(cone_m=cone, cone_n=cone, jacobian=np.eye(3),
+                            mu_chart=np.zeros(3))
+        sosc = sosc_check(hess, crit)
+        assert sosc.status == "fails"
+        np.testing.assert_allclose(sosc.witness, [1.0, 0.0, 0.0], atol=1e-12)
+        sonc = sonc_check(hess, crit)
+        assert sonc.status == "holds"
+        assert sonc.min_value == 0.0
+
     def test_agrees_with_grid_oracle(self):
         rng = np.random.default_rng(21)
+        cases = []
         for _ in range(25):
             dim = int(rng.integers(2, 4))
             mat = rng.standard_normal((dim, dim))
-            mat = 0.5 * (mat + mat.T)
             n_rows = int(rng.integers(0, 3))
-            cone = PolyhedralCone.from_rows(
-                rng.standard_normal((n_rows, dim)) if n_rows else None, None, dim)
+            rows = rng.standard_normal((n_rows, dim)) if n_rows else None
+            cases.append((0.5 * (mat + mat.T), rows))
+        # small integers: repeated eigenvalues are common, and there eigh
+        # returns an arbitrary basis of each eigenspace
+        for _ in range(25):
+            dim = int(rng.integers(2, 4))
+            mat = rng.integers(-2, 3, (dim, dim)).astype(float)
+            n_rows = int(rng.integers(0, 4))
+            rows = rng.integers(-1, 2, (n_rows, dim)).astype(float) if n_rows else None
+            cases.append((np.triu(mat) + np.triu(mat, 1).T, rows))
+        for mat, rows in cases:
+            dim = mat.shape[0]
+            cone = PolyhedralCone.from_rows(rows, None, dim)
             hess = HessianForm(base=np.zeros(dim), chart_id="", matrix=mat)
             crit = CriticalCone(cone_m=cone, cone_n=cone,
                                 jacobian=np.eye(dim), mu_chart=np.zeros(dim))
