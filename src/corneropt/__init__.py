@@ -21,7 +21,7 @@ from .firstorder import (CQReport, KKTCertificate, check_licq, check_mfcq,
                          multiplier_set_probe, solve_kkt)
 from .geometry import (Chart, Euclidean, LinearizingMap, Manifold, Product,
                        Retraction, Sphere, TangentVec, axiom_check,
-                       chart_transition, push_tangent, retract)
+                       chart_transition, push_tangent)
 from .models import MODELS, build_model, get_model
 from .problem import ProblemInstance
 from .secondorder import (CriticalCone, HessianForm, PulledBackProblem,
@@ -43,6 +43,6 @@ __all__ = [
     "cq_report", "critical_cone", "extreme_rays", "get_model",
     "inner_tangent_cone", "invariance_check", "lagrangian_hessian",
     "lagrangian_value", "multiplier_set_probe", "polar_contains",
-    "push_tangent", "retract", "second_order_consistent", "solve",
+    "push_tangent", "second_order_consistent", "solve",
     "solve_kkt", "sonc_check", "sosc_check", "validate", "zero_tangent_space",
 ]

@@ -329,8 +329,8 @@ def cmd_certify(config: RunConfig) -> int:
         hess = lagrangian_hessian(pb, cert.mu_chart)
     report["hessian"] = {"matrix": hess.matrix, "source": hess.source,
                          "fd_discrepancy": hess.fd_discrepancy}
-    sosc = sosc_check(hess, crit, seed=config.seed)
-    sonc = sonc_check(hess, crit, seed=config.seed)
+    sosc = sosc_check(hess, crit)
+    sonc = sonc_check(hess, crit)
     report["sosc"] = {"status": sosc.status, "min_value": sosc.min_value,
                       "witness": sosc.witness}
     report["sonc"] = {"status": sonc.status, "min_value": sonc.min_value,

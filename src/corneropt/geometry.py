@@ -212,10 +212,6 @@ class Retraction:
         return fd_jacobian_of(self.map_fn, v)
 
 
-def retract(r: Retraction, v: np.ndarray) -> np.ndarray:
-    return r(v)
-
-
 @dataclass(frozen=True)
 class LinearizingMap:
     """A local linearizing map: point near ``base`` -> tangent coordinates.

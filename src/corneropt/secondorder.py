@@ -5,10 +5,11 @@ At a KKT point the pulled-back Lagrangian
 Hessian at ``0``, and for adapted linearizing maps its quadratic form is
 invariant on the critical cone.  This module builds pull-backs, forms the
 Hessian, checks the invariance numerically, and decides second-order
-sufficient/necessary conditions by exact subspace eigenvalue tests plus face
-enumeration with multi-start refinement on genuine cones.  The invariance
-check compares every pair of a list of pull-backs but forms each pull-back's
-Hessian, and the critical cone and its samples, only once.
+sufficient/necessary conditions exactly: by an eigenvalue test on subspaces
+and by a walk over the faces of genuine cones, whose restricted eigenvectors
+contain the minimiser (a Pareto eigenvalue).  No verdict reads a seed.  The
+invariance check compares every pair of a list of pull-backs but forms each
+pull-back's Hessian, and the critical cone and its samples, only once.
 
 A Hessian comes from one of three sources, recorded in
 :attr:`HessianForm.source`:
@@ -34,11 +35,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
-from .cones import (PolyhedralCone, canonicalize, extreme_rays, null_space,
-                    sample_cone)
+from .cones import PolyhedralCone, canonicalize, null_space, sample_cone
 from .errors import (DimensionTooLargeError, InvalidCertificateError,
                      NotStationaryError)
 from .firstorder import TOL_ACT, TOL_KKT, KKTCertificate
@@ -341,15 +339,15 @@ class SecondOrderVerdict:
         return self.status == "holds"
 
 
-def _quadratic_minimum_on_cone(matrix: np.ndarray, cone: PolyhedralCone,
-                               seed: int = 0, n_starts: int = 24):
+def _quadratic_minimum_on_cone(matrix: np.ndarray, cone: PolyhedralCone):
     """Minimum of ``v^T H v`` over the cone intersected with the unit sphere.
 
-    Candidates come from eigen-decompositions of ``H`` restricted to the span
-    of every face (the constrained stationary points of the quadratic form),
-    cross-checked by projected multi-start minimization seeded from rays and
-    random cone samples.  Returns ``(min_value, argmin)`` or ``None`` when
-    the cone is ``{0}``.
+    The minimum is a Pareto eigenvalue of ``H`` on the cone, so it is
+    attained at an eigenvector of ``H`` restricted to the span of some face
+    (Seeger, Linear Algebra Appl. 292 (1999)).  The walk over every face
+    span, keeping each eigenvector that lies in the cone, is therefore
+    exact.  Returns ``(min_value, argmin)`` or ``None`` when the cone is
+    ``{0}``.
     """
     canon = canonicalize(cone)
     dim = canon.dim
@@ -393,73 +391,34 @@ def _quadratic_minimum_on_cone(matrix: np.ndarray, cone: PolyhedralCone,
                 consider(cand)
                 consider(-cand)
 
-    # multi-start projected refinement from rays and random cone samples
-    rays, lin = extreme_rays(canon)
-    for ray in rays:
-        consider(ray)
-    rng = np.random.default_rng(seed)
-    gen_cols = []
-    if rays:
-        gen_cols.extend(rays)
-    if lin.size:
-        gen_cols.extend([lin[:, j] for j in range(lin.shape[1])])
-        gen_cols.extend([-lin[:, j] for j in range(lin.shape[1])])
-    gen = np.column_stack(gen_cols) if gen_cols else np.zeros((dim, 0))
-
-    def project(v):
-        if gen.shape[1] == 0:
-            return np.zeros(dim)
-        coef, _ = scipy.optimize.nnls(gen, v)
-        return gen @ coef
-
-    starts = sample_cone(canon, rng, n_starts, rays=rays, lineality=lin)
-    for v in starts:
-        if np.linalg.norm(v) < 1e-12:
-            continue
-        v = v / np.linalg.norm(v)
-        step = 0.5
-        for _ in range(120):
-            grad = 2.0 * (matrix @ v - (v @ matrix @ v) * v)
-            w = project(v - step * grad)
-            norm = np.linalg.norm(w)
-            if norm < 1e-12:
-                break
-            w = w / norm
-            if float(w @ matrix @ w) <= float(v @ matrix @ v):
-                v = w
-            else:
-                step *= 0.5
-                if step < 1e-6:
-                    break
-        consider(v)
     return best
 
 
-def sosc_check(hessian: HessianForm, crit: CriticalCone, tol: float = 1e-8,
-               seed: int = 0) -> SecondOrderVerdict:
-    """Decide ``H[v, v] > 0`` on the critical cone minus the origin."""
+def _cone_verdict(hessian: HessianForm, crit: CriticalCone,
+                  holds: Callable[[float], bool]) -> SecondOrderVerdict:
+    """The verdict of ``hessian`` on ``crit.cone_m``; ``holds`` decides the
+    minimum of the form on the unit sphere."""
     cone = crit.cone_m
     if cone.dim > 12 and not cone.is_subspace():
         return SecondOrderVerdict(status="inconclusive", min_value=None, witness=None)
-    result = _quadratic_minimum_on_cone(hessian.matrix, cone, seed=seed)
+    result = _quadratic_minimum_on_cone(hessian.matrix, cone)
     if result is None:
         return SecondOrderVerdict(status="holds", min_value=None, witness=None)
     min_val, witness = result
-    if min_val > tol:
+    if holds(min_val):
         return SecondOrderVerdict(status="holds", min_value=min_val, witness=None)
     return SecondOrderVerdict(status="fails", min_value=min_val, witness=witness)
 
 
-def sonc_check(hessian: HessianForm, crit: CriticalCone, tol: float = 1e-8,
-               seed: int = 0) -> SecondOrderVerdict:
-    """Decide ``H[v, v] >= 0`` on the critical cone (threshold ``-tol``)."""
-    cone = crit.cone_m
-    if cone.dim > 12 and not cone.is_subspace():
-        return SecondOrderVerdict(status="inconclusive", min_value=None, witness=None)
-    result = _quadratic_minimum_on_cone(hessian.matrix, cone, seed=seed)
-    if result is None:
-        return SecondOrderVerdict(status="holds", min_value=None, witness=None)
-    min_val, witness = result
-    if min_val >= -tol:
-        return SecondOrderVerdict(status="holds", min_value=min_val, witness=None)
-    return SecondOrderVerdict(status="fails", min_value=min_val, witness=witness)
+def sosc_check(hessian: HessianForm, crit: CriticalCone,
+               tol: float = 1e-8) -> SecondOrderVerdict:
+    """Decide ``H[v, v] > 0`` on the critical cone minus the origin: ``holds``
+    when the minimum on the unit sphere exceeds ``tol``."""
+    return _cone_verdict(hessian, crit, lambda min_val: min_val > tol)
+
+
+def sonc_check(hessian: HessianForm, crit: CriticalCone,
+               tol: float = 1e-8) -> SecondOrderVerdict:
+    """Decide ``H[v, v] >= 0`` on the critical cone: ``holds`` when the
+    minimum on the unit sphere is at least ``-tol``."""
+    return _cone_verdict(hessian, crit, lambda min_val: min_val >= -tol)

@@ -179,24 +179,6 @@ def _positive_definite(mat: np.ndarray, floor: float = 1e-6) -> np.ndarray:
     return vecs @ np.diag(vals) @ vecs.T
 
 
-def qp_subproblem(pb, h_mat, grad, opts: Optional[SolveOptions] = None):
-    """Solve the linearized local problem of a pull-back.
-
-    Constraints are the cone rows applied to the linearized constraint map
-    ``g_bar(0) + g_bar'(0) v``; returns ``(v, lambda_ineq, lambda_eq)``.
-    """
-    del opts
-    cone = pb.cone_bar
-    g0 = pb.g_bar(np.zeros(pb.dim))
-    jac = fd_jacobian_of(pb.g_bar, np.zeros(pb.dim))
-    c_ineq = cone.a_ineq @ jac
-    d_ineq = -(cone.a_ineq @ g0)
-    c_eq = cone.a_eq @ jac
-    d_eq = -(cone.a_eq @ g0)
-    return solve_qp_active_set(_positive_definite(h_mat), grad,
-                               c_ineq, d_ineq, c_eq, d_eq)
-
-
 def merit_value(pb, v, penalty: float) -> float:
     """l1 merit ``f_bar(v) + rho * (|max(A_I g, 0)|_1 + |A_E g|_1)``."""
     g_val = pb.g_bar(v)

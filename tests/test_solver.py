@@ -6,7 +6,7 @@ import pytest
 from corneropt.corners import EuclideanCornerSet
 from corneropt.errors import LineSearchFailureError, QPInfeasibleError
 from corneropt.firstorder import solve_kkt
-from corneropt.geometry import Euclidean, Sphere, fd_hessian_of
+from corneropt.geometry import Euclidean, Sphere, fd_hessian_of, fd_jacobian_of
 from corneropt import solver as solver_module
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_diagonal_constraint, build_remark_counterexample,
@@ -16,7 +16,7 @@ from corneropt.problem import ProblemInstance
 from corneropt.secondorder import build_pullback
 from corneropt.solver import (SolveOptions, _lagrangian_hessian,
                               _local_pullback, merit_and_linesearch, merit_value,
-                              qp_subproblem, solve, solve_qp_active_set)
+                              solve, solve_qp_active_set)
 
 
 class TestActiveSetQP:
@@ -84,6 +84,17 @@ class TestActiveSetQP:
         assert checked >= 40
 
 
+def _linearized_qp(pb, h_mat, grad):
+    """The local QP of a pull-back: its cone rows applied to the linearized
+    constraint map ``g_bar(0) + g_bar'(0) v``."""
+    zero = np.zeros(pb.dim)
+    g0 = pb.g_bar(zero)
+    jac = fd_jacobian_of(pb.g_bar, zero)
+    cone = pb.cone_bar
+    return solve_qp_active_set(h_mat, grad, cone.a_ineq @ jac, -(cone.a_ineq @ g0),
+                               cone.a_eq @ jac, -(cone.a_eq @ g0))
+
+
 class TestQpSubproblem:
     def test_interior_point_sees_no_rows(self):
         # at an interior reference the local corner description is rowless,
@@ -92,7 +103,7 @@ class TestQpSubproblem:
         point = np.array([-0.5, 0.3])
         pb = build_pullback(prob, point)
         grad = prob.objective_gradient(point, pb.retraction.chart)
-        v, lam_i, _ = qp_subproblem(pb, np.eye(2), grad)
+        v, lam_i, _ = _linearized_qp(pb, np.eye(2), grad)
         np.testing.assert_allclose(v, -grad, atol=1e-8)
         assert lam_i.size == 0
 
@@ -101,7 +112,7 @@ class TestQpSubproblem:
         point = np.array([0.0, 0.3])
         pb = build_pullback(prob, point)
         grad = prob.objective_gradient(point, pb.retraction.chart)
-        v, lam_i, _ = qp_subproblem(pb, np.eye(2), grad)
+        v, lam_i, _ = _linearized_qp(pb, np.eye(2), grad)
         np.testing.assert_allclose(v, np.zeros(2), atol=1e-9)
         assert lam_i[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -202,7 +213,7 @@ class TestSolve:
         pb = build_pullback(prob, result.point)
         grad = prob.objective_gradient(result.point, pb.retraction.chart)
         quad = prob.extras["quad"]
-        _, lam_i, lam_e = qp_subproblem(pb, quad, grad)
+        _, lam_i, lam_e = _linearized_qp(pb, quad, grad)
         active = [i for i, lam in enumerate(lam_i) if lam > 1e-9]
         np.testing.assert_allclose(np.asarray(lam_i)[active],
                                    cert.lambda_ineq[cert.lambda_ineq > 1e-9],
