@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from corneropt.cones import PolyhedralCone, sample_cone
+from corneropt.corners import EuclideanCornerSet
 from corneropt.errors import NotStationaryError
 from corneropt.firstorder import solve_kkt
-from corneropt.geometry import Sphere
+from corneropt.geometry import Chart, Euclidean, Retraction, Sphere
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_diagonal_constraint,
                               build_remark_counterexample, build_sphere_polygon)
@@ -16,6 +17,7 @@ from corneropt.secondorder import (CriticalCone, HessianForm, PulledBackProblem,
                                    lagrangian_value, second_order_consistent,
                                    sonc_check, sosc_check,
                                    transition_second_derivative)
+from corneropt.problem import ProblemInstance
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,25 @@ class TestCriticalCone:
             lhs = crit.cone_m.contains(v, 1e-9)
             rhs = abs(float((row @ v)[0])) <= 1e-9 * (1 + np.linalg.norm(v))
             assert lhs == rhs
+
+    def test_weakly_active_row_stays_an_inequality(self):
+        # min -x1 + x2^2 s.t. x <= 0 at 0: grad f = (-1, 0), so lambda = (1, 0).
+        # Row 0 is strongly active and becomes an equality; row 1 is weakly
+        # active and stays an inequality, so cone_n = {w1 = 0, w2 <= 0}.
+        plane = Euclidean(2)
+        prob = ProblemInstance(
+            domain=plane, codomain=plane,
+            constraint_set=EuclideanCornerSet(2, ineq=(0, 1), eq=()),
+            objective=lambda x: -float(x[0]) + float(x[1]) ** 2,
+            constraint=lambda x: np.asarray(x, dtype=float),
+            objective_grad_ambient=lambda x: np.array([-1.0, 2.0 * x[1]]),
+            constraint_jac_ambient=lambda x: np.eye(2), name="weak-row")
+        cert = solve_kkt(prob, np.zeros(2))
+        np.testing.assert_allclose(cert.lambda_ineq, [1.0, 0.0], atol=1e-12)
+        crit = critical_cone(prob, np.zeros(2), cert)
+        assert crit.cone_n.contains(np.array([0.0, -1.0]), 1e-9)
+        assert not crit.cone_n.contains(np.array([0.0, 1.0]), 1e-9)
+        assert not crit.cone_n.contains(np.array([1.0, -1.0]), 1e-9)
 
     def test_two_definitions_agree_on_samples(self, remark):
         prob, cert = remark
@@ -302,6 +323,50 @@ class TestInvariance:
                 assert shared.fd_discrepancy == single.fd_discrepancy
                 assert np.array_equal(shared.matrix, single.matrix)
         assert invariance_check(prob, point, cert, pbs[:1]) == []
+
+    def test_directions_are_transported_into_rotated_retraction_charts(self):
+        # f = (x1^2 + 3 x2^2) / 2 at its minimiser 0, with the inactive row
+        # x1 - 1 <= 0: the critical cone is the whole plane.  A retraction
+        # R(v) = Q v whose chart rotates by theta gives the Hessian Q^T H Q in
+        # its own frame; on a direction v of the default chart, transported
+        # to Q^T v, both pull-backs give v^T H v.
+        hess = np.diag([1.0, 3.0])
+        plane = Euclidean(2)
+        prob = ProblemInstance(
+            domain=plane, codomain=Euclidean(1),
+            constraint_set=EuclideanCornerSet(1, ineq=(0,), eq=()),
+            objective=lambda x: 0.5 * float(x @ hess @ x),
+            constraint=lambda x: np.array([x[0] - 1.0]),
+            objective_grad_ambient=lambda x: hess @ x,
+            constraint_jac_ambient=lambda x: np.array([[1.0, 0.0]]),
+            name="rotated-retractions")
+        point = np.zeros(2)
+        cert = solve_kkt(prob, point)
+
+        def rotated(theta):
+            c, s = math.cos(theta), math.sin(theta)
+            rot = np.array([[c, -s], [s, c]])
+            chart = Chart(center=point, dim=2, radius=1e8,
+                          forward_fn=lambda q: rot.T @ q, inverse_fn=lambda x: rot @ x,
+                          inverse_jacobian_fn=lambda x: rot.copy(),
+                          forward_jacobian_fn=lambda q: rot.T.copy(),
+                          chart_id=f"rot{theta}")
+            return rot, Retraction(base=point, chart=chart, map_fn=lambda v: rot @ v,
+                                   domain_radius=math.inf, name=f"rot{theta}",
+                                   differential_fn=lambda v: rot.copy())
+
+        (rot_a, retr_a), (rot_b, retr_b) = rotated(0.4), rotated(1.1)
+        pbs = [build_pullback(prob, point, retraction=retr_a),
+               build_pullback(prob, point, retraction=retr_b)]
+        [report] = invariance_check(prob, point, cert, pbs, tol=1e-6,
+                                    n_samples=100, seed=0)
+        np.testing.assert_allclose(report.hessian_1.matrix, rot_a.T @ hess @ rot_a,
+                                   atol=1e-7)
+        np.testing.assert_allclose(report.hessian_2.matrix, rot_b.T @ hess @ rot_b,
+                                   atol=1e-7)
+        assert report.n_on_cone > 0
+        assert report.max_on_cone <= 1e-6
+        assert report.passed
 
 
 class TestSecondOrderConsistent:
