@@ -437,13 +437,7 @@ def linearizing_cone(prob, p: np.ndarray, chart_kind: str = "default",
     representation of the constraint and ``(A, W)`` come from the adapted
     chart at ``g(p)``.
     """
-    from .errors import InfeasiblePointError
-
-    q = prob.constraint(p)
-    if not prob.constraint_set.contains(q):
-        raise InfeasiblePointError("g(p) is not in the corner set")
-    data = prob.constraint_set.adapted_chart(q, kind=adapted_kind)
-    chart_m = prob.domain.chart(p, kind=chart_kind)
+    chart_m, data = prob.chart_pair(p, chart_kind, adapted_kind)
     jac = prob.constraint_jacobian(p, chart_m, data.chart)
     return PolyhedralCone.from_rows(
         data.inequality_rows() @ jac, data.equality_rows() @ jac, chart_m.dim)

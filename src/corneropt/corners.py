@@ -78,10 +78,14 @@ class CornerSet:
         raise NotImplementedError
 
     def linearizing_map(self, q: np.ndarray, kind: str = "chart") -> LinearizingMap:
-        """An adapted linearizing map at ``q``; ``chart`` is the chart-induced one."""
-        data = self.adapted_chart(q, kind="default")
+        """An adapted linearizing map at ``q``: ``chart`` is the one induced
+        by the default adapted chart, and ``bent``, where ``linmap_kinds``
+        lists it, its curved rescaling."""
+        data = self.adapted_chart(q)
         if kind == "chart":
-            return chart_linearizing_map(data, name="chart")
+            return chart_linearizing_map(data)
+        if kind == "bent" and kind in self.linmap_kinds:
+            return scaling_linearizing_map(data)
         raise ValueError(f"unknown linearizing map kind {kind!r}")
 
     def project(self, q: np.ndarray) -> np.ndarray:
@@ -486,14 +490,6 @@ class EuclideanCornerSet(CornerSet):
             a_hat[r, i] = 1.0
         return AdaptedChartData(n=self.n, k=k, ell=ell, a_hat=a_hat, chart=chart)
 
-    def linearizing_map(self, q, kind: str = "chart") -> LinearizingMap:
-        data = self.adapted_chart(q)
-        if kind == "chart":
-            return chart_linearizing_map(data)
-        if kind == "bent":
-            return scaling_linearizing_map(data)
-        raise ValueError(f"unknown linearizing map kind {kind!r}")
-
 
 class SphereTriangleCornerSet(CornerSet):
     """A geodesic triangle on S^2, stored by oriented edge normals.
@@ -684,14 +680,6 @@ class DiagonalCornerSet(CornerSet):
                       chart_id=f"diagonal:{kind}@{_point_tag(q)}")
         return AdaptedChartData(n=2 * d, k=d, ell=0,
                                 a_hat=np.zeros((0, d)), chart=chart)
-
-    def linearizing_map(self, q, kind: str = "chart") -> LinearizingMap:
-        data = self.adapted_chart(q)
-        if kind == "chart":
-            return chart_linearizing_map(data)
-        if kind == "bent":
-            return scaling_linearizing_map(data)
-        raise ValueError(f"unknown linearizing map kind {kind!r}")
 
 
 class CircleZeroSection(CornerSet):
