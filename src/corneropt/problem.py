@@ -3,9 +3,10 @@
 A :class:`ProblemInstance` bundles ``(M, N, K, f, g)`` with optional analytic
 ambient derivatives.  Chart representations ``f o phi^{-1}`` and
 ``psi o g o phi^{-1}`` and their derivatives at the chart center are derived
-here, as is the gradient of a pulled-back Lagrangian; analytic ambient
-derivatives are chained through the chart Jacobians when available,
-otherwise central finite differences (step ``fd_step``) are used.
+here; analytic ambient derivatives are chained through the chart Jacobians
+when available, otherwise central finite differences (step ``fd_step``) are
+used.  Pull-backs through retractions and linearizing maps are built in
+:mod:`corneropt.secondorder`.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .corners import CornerSet, TOL_FEAS
 from .errors import InfeasiblePointError
-from .geometry import (Chart, Manifold, Retraction, fd_gradient_of,
-                       fd_jacobian_of)
+from .geometry import Chart, Manifold, fd_gradient_of, fd_jacobian_of
 
 
 @dataclass(frozen=True)
@@ -73,30 +73,6 @@ class ProblemInstance:
             return fwd @ jac_amb @ chart_m.differential_at(np.zeros(chart_m.dim))
         fn = self.constraint_in_charts(chart_m, chart_n)
         return fd_jacobian_of(fn, np.zeros(chart_m.dim), h=self.fd_step)
-
-    def pulled_back_lagrangian_gradient(
-            self, retraction: Retraction,
-            lin_differential: Optional[Callable[[np.ndarray], np.ndarray]]
-    ) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-        """``(v, mu) -> grad_v [f(R(v)) + <mu, S(g(R(v)))>]`` from the ambient
-        derivatives: ``DR(v)^T (grad f(x) + Dg(x)^T DS(g(x))^T mu)`` with
-        ``x = R(v)`` and ``DS = lin_differential``, one retraction per call.
-
-        ``None`` when the model supplies no ambient gradients or ``S`` has no
-        closed-form differential.
-        """
-        if (self.objective_grad_ambient is None or self.constraint_jac_ambient is None
-                or lin_differential is None):
-            return None
-
-        def grad(v, mu):
-            x = retraction(v)
-            covec = np.asarray(self.objective_grad_ambient(x), dtype=float) \
-                + np.asarray(self.constraint_jac_ambient(x), dtype=float).T \
-                @ (lin_differential(self.constraint(x)).T @ mu)
-            return retraction.differential(v).T @ covec
-
-        return grad
 
     # -- convenience ----------------------------------------------------------
 

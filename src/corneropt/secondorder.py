@@ -3,11 +3,13 @@
 At a KKT point the pulled-back Lagrangian
 ``Lbar(v, mu) = f(R(v)) + mu(S(g(R(v))))`` has a well-defined symmetric
 Hessian at ``0``, and for adapted linearizing maps its quadratic form is
-invariant on the critical cone.  This module builds pull-backs, forms the
-Hessian, checks the invariance numerically, and decides second-order
-sufficient/necessary conditions exactly: by an eigenvalue test on subspaces
-and by a walk over the faces of genuine cones, whose restricted eigenvectors
-contain the minimiser (a Pareto eigenvalue).  No verdict reads a seed.  The
+invariant on the critical cone.  This module builds pull-backs (one
+constructor, :func:`pull_back`, serves the certifier's feasible points and
+the solver's iterates), forms the Hessian, checks the invariance
+numerically, and decides second-order sufficient/necessary conditions
+exactly: by an eigenvalue test on subspaces and by a walk over the faces of
+genuine cones, whose restricted eigenvectors contain the minimiser (a
+Pareto eigenvalue).  No verdict reads a seed.  The
 invariance check compares every pair of a list of pull-backs but forms each
 pull-back's Hessian, and the critical cone and its samples, only once.
 
@@ -24,8 +26,9 @@ A Hessian comes from one of three sources, recorded in
 * ``fd``: otherwise, second differences of Lagrangian values at ``h`` and
   ``h/2`` with Richardson extrapolation.
 
-``fd_discrepancy`` is the largest entry of the difference between the two
-step levels (0 for ``analytic``).
+Both difference sources run the one stencil :func:`hessian_at_step`, which
+the solver calls at a single step.  ``fd_discrepancy`` is the largest entry
+of the difference between the two step levels (0 for ``analytic``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,11 @@ FD_HESS_STEP = 1e-4
 
 @dataclass(frozen=True)
 class PulledBackProblem:
-    """A problem pulled back to the tangent space at a feasible point."""
+    """A problem pulled back through a retraction and a linearizing map.
+
+    ``f_bar = f o R`` and ``g_bar = S o g o R`` with ``R = retraction`` and
+    ``S = linmap``; ``cone_bar`` is the corner cone in the frame of ``S``.
+    """
 
     base: np.ndarray
     retraction: Retraction
@@ -68,21 +75,17 @@ class PulledBackProblem:
         return self.retraction.chart.dim
 
 
-def build_pullback(prob: ProblemInstance, p, retraction: Optional[Retraction] = None,
-                   linmap: Optional[LinearizingMap] = None,
-                   retraction_kind: str = "default", linmap_kind: str = "chart",
-                   adapted_kind: str = "default") -> PulledBackProblem:
-    """Assemble ``f_bar = f o R`` and ``g_bar = S o g o R`` at a feasible point."""
-    prob.require_feasible(p)
-    q = prob.constraint(p)
-    if retraction is None:
-        retraction = prob.domain.retraction(p, retraction_kind)
-    if linmap is None:
-        linmap = prob.constraint_set.linearizing_map(q, linmap_kind)
-    cone = linmap.cone
-    if cone is None:
-        cone = prob.constraint_set.adapted_chart(q, adapted_kind).cone()
+def pull_back(prob: ProblemInstance, p, retraction: Retraction, linmap: LinearizingMap,
+              cone: PolyhedralCone) -> PulledBackProblem:
+    """The pull-back of ``prob`` at ``p`` through ``retraction`` and ``linmap``.
 
+    Wires ``f_bar``, ``g_bar``, the model's ``analytic_pullback_hessian``
+    hook and the Lagrangian gradient ``(v, mu) -> DR(v)^T (grad f(x) +
+    Dg(x)^T DS(g(x))^T mu)``, ``x = R(v)``, one retraction per call; the
+    gradient is ``None`` when the model supplies no ambient gradients or
+    ``S`` no closed-form differential.  ``p`` need not be feasible: the
+    solver pulls back at its iterates.
+    """
     def f_bar(v):
         return float(prob.objective(retraction(v)))
 
@@ -92,14 +95,41 @@ def build_pullback(prob: ProblemInstance, p, retraction: Optional[Retraction] = 
     analytic = None
     hook = prob.extras.get("analytic_pullback_hessian")
     if hook is not None:
-        analytic = lambda mu, r=retraction, s=linmap: hook(mu, r, s)
-    gradient = prob.pulled_back_lagrangian_gradient(
-        retraction, linmap.differential if linmap.differential_fn is not None else None)
+        analytic = lambda mu: hook(mu, retraction, linmap)
+    gradient = None
+    if (prob.objective_grad_ambient is not None and prob.constraint_jac_ambient is not None
+            and linmap.differential_fn is not None):
+        def gradient(v, mu):
+            x = retraction(v)
+            covec = np.asarray(prob.objective_grad_ambient(x), dtype=float) \
+                + np.asarray(prob.constraint_jac_ambient(x), dtype=float).T \
+                @ (linmap.differential(prob.constraint(x)).T @ mu)
+            return retraction.differential(v).T @ covec
+
     return PulledBackProblem(
         base=np.asarray(p, dtype=float), retraction=retraction, linmap=linmap,
         f_bar=f_bar, g_bar=g_bar, cone_bar=cone, analytic_hessian=analytic,
         name=f"{prob.name}:{retraction.name}/{linmap.name}",
         lagrangian_gradient=gradient)
+
+
+def build_pullback(prob: ProblemInstance, p, retraction: Optional[Retraction] = None,
+                   linmap: Optional[LinearizingMap] = None,
+                   retraction_kind: str = "default", linmap_kind: str = "chart",
+                   adapted_kind: str = "default") -> PulledBackProblem:
+    """:func:`pull_back` at a feasible point, with the domain's retraction
+    and the corner set's linearizing map of the given kinds by default; a
+    map that is not adapted takes the cone of the adapted chart."""
+    prob.require_feasible(p)
+    q = prob.constraint(p)
+    if retraction is None:
+        retraction = prob.domain.retraction(p, retraction_kind)
+    if linmap is None:
+        linmap = prob.constraint_set.linearizing_map(q, linmap_kind)
+    cone = linmap.cone
+    if cone is None:
+        cone = prob.constraint_set.adapted_chart(q, adapted_kind).cone()
+    return pull_back(prob, p, retraction, linmap, cone)
 
 
 @dataclass
@@ -175,6 +205,17 @@ class HessianForm:
         return float(v @ self.matrix @ v)
 
 
+def hessian_at_step(pb: PulledBackProblem, mu, h: float) -> np.ndarray:
+    """One finite-difference Hessian at ``v = 0`` of ``v -> Lbar(v, mu)``,
+    step ``h``: the symmetrised central difference of the pull-back's
+    Lagrangian gradient when it has one, second differences of Lagrangian
+    values otherwise."""
+    if pb.lagrangian_gradient is not None:
+        jac = fd_jacobian_of(lambda v: pb.lagrangian_gradient(v, mu), np.zeros(pb.dim), h)
+        return 0.5 * (jac + jac.T)
+    return fd_hessian_of(lambda v: lagrangian_value(pb, v, mu), pb.dim, h)
+
+
 def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
                        stationarity_tol: float = 1e-6) -> HessianForm:
     """Hessian of ``v -> Lbar(v, mu)`` at 0.
@@ -183,21 +224,18 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
     there); raises :class:`NotStationaryError` otherwise.  The gradient
     tested is the pull-back's analytic one when it has one, central
     differences of values otherwise.  The Hessian is the model's analytic
-    one if its hook covers the pull-back; otherwise finite differences of
-    the analytic gradient (``grad-fd``) or of values (``fd``) at steps ``h``
-    and ``h/2``, Richardson extrapolated, with the largest difference
-    between the two levels recorded as ``fd_discrepancy``.
+    one if its hook covers the pull-back; otherwise :func:`hessian_at_step`
+    at ``h`` and ``h/2`` (``grad-fd`` or ``fd``), Richardson extrapolated,
+    with the largest difference between the two levels recorded as
+    ``fd_discrepancy``.
     """
     mu = np.asarray(mu, dtype=float)
     fn = lambda v: lagrangian_value(pb, v, mu)
-    dim = pb.dim
-    zero = np.zeros(dim)
-    grad_fn = None
+    zero = np.zeros(pb.dim)
     if pb.lagrangian_gradient is not None:
-        grad_fn = lambda v: pb.lagrangian_gradient(v, mu)
-        grad = grad_fn(zero)
+        grad = pb.lagrangian_gradient(zero, mu)
     else:
-        grad = fd_gradient_of(fn, dim)
+        grad = fd_gradient_of(fn, pb.dim)
     scale = 1.0 + abs(fn(zero))
     if np.linalg.norm(grad) > stationarity_tol * scale:
         raise NotStationaryError(
@@ -210,14 +248,8 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
             mat = 0.5 * (mat + mat.T)
             return HessianForm(base=pb.base, chart_id=pb.retraction.chart.chart_id,
                                matrix=mat, source="analytic", fd_discrepancy=0.0)
-    if grad_fn is not None:
-        source = "grad-fd"
-        coarse, fine = (0.5 * (jac + jac.T) for jac in
-                        (fd_jacobian_of(grad_fn, zero, step) for step in (h, h / 2.0)))
-    else:
-        source = "fd"
-        coarse = fd_hessian_of(fn, dim, h)
-        fine = fd_hessian_of(fn, dim, h / 2.0)
+    source = "grad-fd" if pb.lagrangian_gradient is not None else "fd"
+    coarse, fine = (hessian_at_step(pb, mu, step) for step in (h, h / 2.0))
     mat = (4.0 * fine - coarse) / 3.0
     mat = 0.5 * (mat + mat.T)
     discrepancy = float(np.max(np.abs(fine - coarse))) if mat.size else 0.0

@@ -2,7 +2,11 @@
 
 Each iteration re-centers the problem: a fresh chart and retraction at the
 current iterate, a fresh adapted corner description at (the projection of)
-its constraint value.  The linearized subproblem
+its constraint value.  The problem is pulled back with the
+:class:`~corneropt.secondorder.PulledBackProblem` the certifier uses; its
+linearizing map is the codomain's default chart at that projection, and its
+Hessian is one :func:`~corneropt.secondorder.hessian_at_step`.  The
+linearized subproblem
 
     min  1/2 v^T H v + grad^T v
     s.t. A_I (G v + g0) <= 0,   A_E (G v + g0) = 0
@@ -27,9 +31,9 @@ from .cones import null_space, transport_cone
 from .errors import (BreakdownError, DomainError, InfeasiblePointError,
                      LineSearchFailureError, NoMultiplierError, QPInfeasibleError)
 from .firstorder import KKTCertificate, solve_kkt
-from .geometry import (fd_gradient_of, fd_hessian_of, fd_jacobian_of,
-                       transition_jacobian)
+from .geometry import FD_STEP, LinearizingMap, fd_gradient_of, transition_jacobian
 from .problem import ProblemInstance
+from .secondorder import hessian_at_step, pull_back
 
 _QP_TOL = 1e-11
 
@@ -191,12 +195,12 @@ def merit_value(pb, v, penalty: float) -> float:
     return pb.f_bar(v) + penalty * viol
 
 
-def merit_and_linesearch(pb, v, opts: SolveOptions,
-                         grad: Optional[np.ndarray] = None) -> float:
+def merit_and_linesearch(pb, v, opts: SolveOptions, grad: np.ndarray) -> float:
     """Backtracking on the l1 merit with Armijo parameter ``opts.armijo``.
 
-    Returns the accepted step length from ``{1, 1/2, 1/4, ...}``; steps
-    leaving the retraction domain are halved before evaluation.  Raises
+    ``grad`` is the gradient of ``pb.f_bar`` at 0.  Returns the accepted
+    step length from ``{1, 1/2, 1/4, ...}``; steps leaving the retraction
+    domain are halved before evaluation.  Raises
     :class:`LineSearchFailureError` after ``opts.max_halvings`` halvings.
     """
     v = np.asarray(v, dtype=float)
@@ -206,8 +210,6 @@ def merit_and_linesearch(pb, v, opts: SolveOptions,
     while norm_v * t >= domain:
         t *= 0.5
     phi0 = merit_value(pb, np.zeros(v.size), opts.merit_penalty)
-    if grad is None:
-        grad = fd_gradient_of(pb.f_bar, v.size)
     # directional model: objective slope minus the full violation (the QP step
     # zeroes the linearized violation)
     viol0 = (phi0 - pb.f_bar(np.zeros(v.size)))
@@ -254,24 +256,14 @@ def _elastic_step(jac, g0, cone, trust: float):
     return res.x[:n]
 
 
-@dataclass(frozen=True)
-class _LocalPullback:
-    """Solver-internal pull-back; unlike the second-order one it tolerates an
-    infeasible center by straightening around a snapped face reference.
-
-    ``g_bar`` is read through ``eval_chart``, the codomain's own chart at the
-    face reference, and ``cone_bar`` is the corner cone carried into it.
-    """
-
-    retraction: object
-    eval_chart: object
-    cone_bar: object
-    f_bar: object
-    g_bar: object
-    dim: int
-
-
 def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
+    """The pull-back at the iterate ``p`` and the face reference it is built at.
+
+    Unlike a certifying pull-back it tolerates an infeasible ``p``: it
+    straightens around a face reference snapped into the corner set.  Its
+    linearizing map is the codomain's own chart at that reference, not an
+    adapted map, and ``cone_bar`` is the corner cone carried into that chart.
+    """
     q = prob.constraint(p)
     corner = prob.constraint_set
     retraction = prob.domain.retraction(p, opts.retraction_kind)
@@ -310,35 +302,17 @@ def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
     eval_chart = prob.codomain.chart(q_ref, "default")
     trans = transition_jacobian(data.chart, eval_chart)
     cone = transport_cone(data.cone(), trans)
-
-    def f_bar(v):
-        return float(prob.objective(retraction(v)))
-
-    def g_bar(v):
-        return eval_chart.forward(prob.constraint(retraction(v)))
-
-    return _LocalPullback(retraction=retraction, eval_chart=eval_chart, cone_bar=cone,
-                          f_bar=f_bar, g_bar=g_bar, dim=retraction.chart.dim), q_ref
+    linmap = LinearizingMap(base=eval_chart.center, dim=eval_chart.dim,
+                            map_fn=eval_chart.forward, chart=eval_chart, name="default",
+                            differential_fn=eval_chart.forward_jacobian_fn)
+    return pull_back(prob, p, retraction, linmap, cone), q_ref
 
 
-def _lagrangian_hessian(prob: ProblemInstance, pb, mu: np.ndarray) -> np.ndarray:
-    """Hessian at ``v = 0`` of the pulled-back Lagrangian ``f_bar + mu . g_bar``.
-
-    With analytic ambient derivatives it is the symmetrised central difference
-    of ``grad L(v) = DR(v)^T (grad f(x) + Dg(x)^T Dpsi(g(x))^T mu)``, ``x = R(v)``
-    and ``psi`` the evaluation chart, retracting once per stencil point.
-    Models without gradients, or an evaluation chart without a forward
-    Jacobian, fall back to second differences of Lagrangian values.
-    """
-    chart = pb.eval_chart
-    grad_lag = prob.pulled_back_lagrangian_gradient(
-        pb.retraction,
-        chart.forward_differential if chart.forward_jacobian_fn is not None else None)
-    if grad_lag is None:
-        lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
-        return fd_hessian_of(lag, pb.dim, 1e-4)
-    hess = fd_jacobian_of(lambda v: grad_lag(v, mu), np.zeros(pb.dim))
-    return 0.5 * (hess + hess.T)
+def _lagrangian_hessian(pb, mu: np.ndarray) -> np.ndarray:
+    """Hessian at ``v = 0`` of the pulled-back Lagrangian: one
+    :func:`~corneropt.secondorder.hessian_at_step`, at ``FD_STEP`` on the
+    analytic Lagrangian gradient and at ``1e-4`` on Lagrangian values."""
+    return hessian_at_step(pb, mu, FD_STEP if pb.lagrangian_gradient is not None else 1e-4)
 
 
 def _feasibility_residual(pb) -> float:
@@ -409,7 +383,7 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
         grad = fd_gradient_of(pb.f_bar, pb.dim) if prob.objective_grad_ambient is None \
             else prob.objective_gradient(p, pb.retraction.chart)
         g0 = pb.g_bar(np.zeros(pb.dim))
-        jac = prob.constraint_jacobian(p, pb.retraction.chart, pb.eval_chart)
+        jac = prob.constraint_jacobian(p, pb.retraction.chart, pb.linmap.chart)
         cone = pb.cone_bar
 
         mu_vec = mu_est if mu_est is not None and mu_est.size == g0.size \
@@ -420,13 +394,13 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
             grad_lagr = grad + jac.T @ mu_vec
             h_mat = bfgs.update(grad_lagr, pb.dim)
         else:
-            h_mat = _lagrangian_hessian(prob, pb, mu_vec)
+            h_mat = _lagrangian_hessian(pb, mu_vec)
         h_pd = _positive_definite(h_mat)
 
         # trust box: keep the step inside retraction and evaluation domains
         sigma = float(np.linalg.svd(jac, compute_uv=False)[0]) if jac.size else 0.0
         delta = min(1.0, 0.45 * pb.retraction.domain_radius,
-                    0.45 * pb.eval_chart.radius / (1.0 + sigma))
+                    0.45 * pb.linmap.chart.radius / (1.0 + sigma))
         box = np.vstack([np.eye(pb.dim), -np.eye(pb.dim)])
         c_ineq = np.vstack([cone.a_ineq @ jac, box])
         d_ineq = np.concatenate([-(cone.a_ineq @ g0), np.full(2 * pb.dim, delta)])

@@ -7,7 +7,7 @@ from corneropt.corners import EuclideanCornerSet
 from corneropt.errors import LineSearchFailureError, QPInfeasibleError
 from corneropt.firstorder import solve_kkt
 from corneropt.geometry import Euclidean, Sphere, fd_hessian_of, fd_jacobian_of
-from corneropt import solver as solver_module
+from corneropt import secondorder as secondorder_module
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_diagonal_constraint, build_remark_counterexample,
                               build_sphere_polygon)
@@ -292,7 +292,7 @@ class TestLagrangianHessian:
         y = point[:n]
         closed = np.diag(np.concatenate([np.ones(n) + 6.0 * 0.5 * y * mu[n:],
                                          np.ones(n)]))
-        np.testing.assert_allclose(_lagrangian_hessian(prob, pb, mu), closed,
+        np.testing.assert_allclose(_lagrangian_hessian(pb, mu), closed,
                                    atol=1e-8, rtol=0)
 
     @pytest.mark.parametrize("prob, point", [
@@ -305,7 +305,7 @@ class TestLagrangianHessian:
         mu = np.random.default_rng(4).standard_normal(pb.g_bar(np.zeros(pb.dim)).size)
         lag = lambda v: pb.f_bar(v) + float(mu @ pb.g_bar(v))
         # second differences of values at h = 1e-4 are accurate to ~1e-7
-        np.testing.assert_allclose(_lagrangian_hessian(prob, pb, mu),
+        np.testing.assert_allclose(_lagrangian_hessian(pb, mu),
                                    fd_hessian_of(lag, pb.dim, 1e-4), atol=1e-6, rtol=0)
 
     def test_control_solve_objective_budget(self, monkeypatch):
@@ -337,13 +337,13 @@ class TestLagrangianHessian:
 
 def _count_fallbacks(monkeypatch):
     count = [0]
-    original = solver_module.fd_hessian_of
+    original = secondorder_module.fd_hessian_of
 
     def counted(*args, **kwargs):
         count[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver_module, "fd_hessian_of", counted)
+    monkeypatch.setattr(secondorder_module, "fd_hessian_of", counted)
     return count
 
 
