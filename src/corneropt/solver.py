@@ -257,12 +257,11 @@ def _elastic_step(jac, g0, cone, trust: float):
 
 
 def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
-    """The pull-back at the iterate ``p`` and the face reference it is built at.
+    """The pull-back at the iterate ``p``, which need not be feasible.
 
-    Unlike a certifying pull-back it tolerates an infeasible ``p``: it
-    straightens around a face reference snapped into the corner set.  Its
-    linearizing map is the codomain's own chart at that reference, not an
-    adapted map, and ``cone_bar`` is the corner cone carried into that chart.
+    Its linearizing map, not an adapted one, is the codomain's own chart at
+    a face reference snapped into the corner set (the map's ``base``), and
+    ``cone_bar`` is the corner cone carried into that chart.
     """
     q = prob.constraint(p)
     corner = prob.constraint_set
@@ -305,7 +304,7 @@ def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
     linmap = LinearizingMap(base=eval_chart.center, dim=eval_chart.dim,
                             map_fn=eval_chart.forward, chart=eval_chart, name="default",
                             differential_fn=eval_chart.forward_jacobian_fn)
-    return pull_back(prob, p, retraction, linmap, cone), q_ref
+    return pull_back(prob, p, retraction, linmap, cone)
 
 
 def _lagrangian_hessian(pb, mu: np.ndarray) -> np.ndarray:
@@ -352,7 +351,7 @@ def solve(prob: ProblemInstance, p0, opts: Optional[SolveOptions] = None) -> Sol
 
     for _ in range(opts.max_iter):
         try:
-            pb, q_ref = _local_pullback(prob, p, opts, active_band)
+            pb = _local_pullback(prob, p, opts, active_band)
         except BreakdownError as err:
             status, message = "breakdown", str(err)
             break

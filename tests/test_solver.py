@@ -274,7 +274,7 @@ class TestSolve:
 
 
 def _pullback(prob, point):
-    return _local_pullback(prob, np.asarray(point, dtype=float), SolveOptions(), 0.3)[0]
+    return _local_pullback(prob, np.asarray(point, dtype=float), SolveOptions(), 0.3)
 
 
 class TestLagrangianHessian:
