@@ -43,7 +43,6 @@ CONTROL_CIRCLE_POINT = [
     9.43839758723102e-12, -0.1570827322423772]
 
 
-
 def _near(center, scale, unit=False):
     """Start ``center + scale * default_rng(0).standard_normal``, normalised
     when ``unit``; a ``center`` of None is the model's reference point."""
