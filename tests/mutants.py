@@ -1,4 +1,5 @@
-"""Mutants of the verdict logic and the tests that are expected to catch them.
+"""Mutants of the verdict and first-order logic and the tests that are
+expected to catch them.
 
 ``python tests/mutants.py [NAME ...]`` copies ``src/`` and ``tests/`` into a
 temporary directory once per mutant, applies the mutant's one-line source
@@ -62,6 +63,20 @@ MUTANTS = {
            ["tests/test_secondorder.py::TestInvariance::"
             "test_directions_are_transported_into_rotated_retraction_charts"],
            "killed"),
+    "M8": ("the multiplier is not pushed into the new adapted chart in "
+           "chart_switch_residual",
+           ("src/corneropt/firstorder.py",
+            "mu_new = push_covector(chart_old, chart_new, cert.mu_chart)",
+            "mu_new = cert.mu_chart"),
+           ["tests/test_firstorder.py::TestChartIndependence::"
+            "test_kkt_residual_survives_chart_switch"], "killed"),
+    "M9": ("cone_membership_agreement compares the cones through the identity "
+           "instead of the chart transition",
+           ("src/corneropt/firstorder.py",
+            "cone_disagreements(cone_a, cone_b, trans)",
+            "cone_disagreements(cone_a, cone_b, np.eye(trans.shape[0]))"),
+           ["tests/test_firstorder.py::TestChartIndependence::"
+            "test_membership_agreement"], "killed"),
 }
 
 
