@@ -23,7 +23,7 @@ from .geometry import (Chart, Euclidean, LinearizingMap, Manifold, Product,
                        Retraction, Sphere, TangentVec, axiom_check,
                        chart_transition, push_tangent)
 from .models import MODELS, build_model, get_model
-from .problem import ProblemInstance
+from .problem import LocalRepresentation, ProblemInstance
 from .secondorder import (CriticalCone, HessianForm, PulledBackProblem,
                           build_pullback, critical_cone, invariance_check,
                           lagrangian_hessian, lagrangian_value,
@@ -33,7 +33,8 @@ from .solver import SolveOptions, SolveResult, solve
 __all__ = [
     "AdaptedChartData", "CQReport", "Chart", "CornerOptError", "CornerSet",
     "CriticalCone", "DiagonalCornerSet", "Euclidean", "EuclideanCornerSet",
-    "HessianForm", "KKTCertificate", "LinearizingMap", "MODELS", "Manifold",
+    "HessianForm", "KKTCertificate", "LinearizingMap", "LocalRepresentation",
+    "MODELS", "Manifold",
     "PolarCertificate", "PolyhedralCone", "Product", "ProductCornerSet",
     "ProblemInstance", "PulledBackProblem", "Retraction", "SolveOptions",
     "SolveResult", "Sphere", "SphereTriangleCornerSet", "TangentVec",

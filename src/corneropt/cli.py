@@ -223,25 +223,41 @@ def _cq_dict(report) -> dict:
     }
 
 
-def cmd_check(config: RunConfig) -> int:
+def _certified(config: RunConfig, command: str, first_order: bool = True):
+    """The steps ``check``, ``certify`` and ``invariance`` share.
+
+    Builds the report header, tests feasibility, adds the CQ section (when
+    ``first_order``) and recovers the KKT certificate.  Returns ``(prob,
+    report, cert, None)``, with the certificate in the report when
+    ``first_order``; or ``(prob, report, None, code)`` once the report is
+    emitted, when the point is infeasible or has no multiplier.
+    """
     prob = config.build()
     point = config.require_point(prob)
-    report = {"schema_version": SCHEMA_VERSION, "command": "check",
-              "model": config.model_name, "seed": config.seed,
-              "point": point}
+    report = {"schema_version": SCHEMA_VERSION, "command": command,
+              "model": config.model_name, "seed": config.seed, "point": point}
     if not prob.feasible(point):
         report["feasible"] = False
         _emit(report, config.output)
-        return EXIT_INFEASIBLE
-    report["feasible"] = True
-    report["cq"] = _cq_dict(cq_report(prob, point, config.tol))
+        return prob, report, None, EXIT_INFEASIBLE
+    if first_order:
+        report["feasible"] = True
+        report["cq"] = _cq_dict(cq_report(prob.local(point), config.tol))
     try:
         cert = solve_kkt(prob, point, config.tol)
     except NoMultiplierError as err:
         report["kkt"] = {"holds": False, "best_residual": err.residual}
         _emit(report, config.output)
-        return EXIT_FAIL
-    report["kkt"] = {"holds": True, **_certificate_report(cert)}
+        return prob, report, None, EXIT_FAIL
+    if first_order:
+        report["kkt"] = {"holds": True, **_certificate_report(cert)}
+    return prob, report, cert, None
+
+
+def cmd_check(config: RunConfig) -> int:
+    _, report, cert, code = _certified(config, "check")
+    if cert is None:
+        return code
     _emit(report, config.output)
     return EXIT_OK
 
@@ -263,23 +279,23 @@ def _pullback_key(pb) -> tuple:
     return pb.retraction.name, pb.linmap.name
 
 
-def _invariance_section(prob, point, cert, seed: int, crit=None):
+def _invariance_section(prob, cert, seed: int, crit=None):
     """The report's invariance section, and the Hessian of each compared
     pull-back keyed by :func:`_pullback_key`."""
     chart_alt, adapted_alt, retr_kinds, linmap_kinds = _model_alt_kinds(prob)
+    point = cert.point
+    loc_alt = prob.local(point, chart_alt, adapted_alt)
     section = {}
-    section["kkt_residual_alternate_charts"] = chart_switch_residual(
-        prob, point, cert, chart_alt, adapted_alt)
-    section["cone_membership"] = cone_membership_agreement(
-        prob, point, pair_a=("default", "default"), pair_b=(chart_alt, adapted_alt))
+    section["kkt_residual_alternate_charts"] = chart_switch_residual(cert, loc_alt)
+    section["cone_membership"] = cone_membership_agreement(cert.local, loc_alt)
     labels, pullbacks = [], []
     for retr in retr_kinds[:2] or ["default"]:
         for lm in linmap_kinds[:2]:
             labels.append(f"{retr}/{lm}")
             pullbacks.append(build_pullback(prob, point, retraction_kind=retr,
                                             linmap_kind=lm))
-    reports = invariance_check(prob, point, cert, pullbacks,
-                               tol=1e-5, n_samples=200, seed=seed, crit=crit)
+    reports = invariance_check(cert, pullbacks, tol=1e-5, n_samples=200, seed=seed,
+                               crit=crit)
     hessians = {}
     for (pb_a, pb_b), rep in zip(itertools.combinations(pullbacks, 2), reports):
         hessians[_pullback_key(pb_a)] = rep.hessian_1
@@ -298,32 +314,18 @@ def _invariance_section(prob, point, cert, seed: int, crit=None):
 
 
 def cmd_certify(config: RunConfig) -> int:
-    prob = config.build()
-    point = config.require_point(prob)
-    report = {"schema_version": SCHEMA_VERSION, "command": "certify",
-              "model": config.model_name, "seed": config.seed, "point": point}
-    if not prob.feasible(point):
-        report["feasible"] = False
-        _emit(report, config.output)
-        return EXIT_INFEASIBLE
-    report["feasible"] = True
-    report["cq"] = _cq_dict(cq_report(prob, point, config.tol))
-    try:
-        cert = solve_kkt(prob, point, config.tol)
-    except NoMultiplierError as err:
-        report["kkt"] = {"holds": False, "best_residual": err.residual}
-        _emit(report, config.output)
-        return EXIT_FAIL
-    report["kkt"] = {"holds": True, **_certificate_report(cert)}
-    crit = critical_cone(prob, point, cert, adapted_kind=cert.adapted_kind)
+    prob, report, cert, code = _certified(config, "certify")
+    if cert is None:
+        return code
+    crit = critical_cone(cert)
     report["critical_cone"] = {
         "inequality_rows": crit.cone_m.a_ineq,
         "equality_rows": crit.cone_m.a_eq,
     }
     # the invariance section shares this critical cone and usually compares
     # the default pull-back too; its Hessian is then taken from there
-    invariance, hessians = _invariance_section(prob, point, cert, config.seed, crit)
-    pb = build_pullback(prob, point)
+    invariance, hessians = _invariance_section(prob, cert, config.seed, crit)
+    pb = build_pullback(prob, cert.point)
     hess = hessians.get(_pullback_key(pb))
     if hess is None:
         hess = lagrangian_hessian(pb, cert.mu_chart)
@@ -371,21 +373,10 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_invariance(config: RunConfig) -> int:
-    prob = config.build()
-    point = config.require_point(prob)
-    report = {"schema_version": SCHEMA_VERSION, "command": "invariance",
-              "model": config.model_name, "seed": config.seed, "point": point}
-    if not prob.feasible(point):
-        report["feasible"] = False
-        _emit(report, config.output)
-        return EXIT_INFEASIBLE
-    try:
-        cert = solve_kkt(prob, point, config.tol)
-    except NoMultiplierError as err:
-        report["kkt"] = {"holds": False, "best_residual": err.residual}
-        _emit(report, config.output)
-        return EXIT_FAIL
-    section, _ = _invariance_section(prob, point, cert, config.seed)
+    prob, report, cert, code = _certified(config, "invariance", first_order=False)
+    if cert is None:
+        return code
+    section, _ = _invariance_section(prob, cert, config.seed)
     report["invariance"] = section
     _emit(report, config.output)
     return EXIT_OK if section["passed"] else EXIT_FAIL

@@ -428,16 +428,14 @@ def transport_cone(cone: PolyhedralCone, transition_jac: np.ndarray) -> Polyhedr
         cone.a_ineq @ inv_t.T, cone.a_eq @ inv_t.T, cone.dim)
 
 
-def linearizing_cone(prob, p: np.ndarray, chart_kind: str = "default",
-                     adapted_kind: str = "default") -> PolyhedralCone:
+def linearizing_cone(loc) -> PolyhedralCone:
     """The cone of directions whose constraint linearization stays in the corner cone.
 
-    In chart coordinates at ``p`` this is
-    ``{v : A ghat'(0) v <= 0, W ghat'(0) v = 0}`` where ``ghat`` is the chart
-    representation of the constraint and ``(A, W)`` come from the adapted
-    chart at ``g(p)``.
+    In the chart of the local representation ``loc``
+    (:meth:`ProblemInstance.local`) this is ``{v : A G v <= 0, W G v = 0}``
+    where ``G`` is the chart Jacobian of the constraint and ``(A, W)`` come
+    from the adapted chart at ``g(p)``.
     """
-    chart_m, data = prob.chart_pair(p, chart_kind, adapted_kind)
-    jac = prob.constraint_jacobian(p, chart_m, data.chart)
+    data, jac = loc.corner, loc.jacobian
     return PolyhedralCone.from_rows(
-        data.inequality_rows() @ jac, data.equality_rows() @ jac, chart_m.dim)
+        data.inequality_rows() @ jac, data.equality_rows() @ jac, loc.chart.dim)

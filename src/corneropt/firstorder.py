@@ -1,7 +1,8 @@
 """Constraint qualifications and first-order KKT certification.
 
-All checks work on the chart data ``G = (psi o g o phi^{-1})'(0)`` together
-with the adapted corner description ``(A_hat, W)`` at ``g(p)``:
+All checks read one local representation (:meth:`ProblemInstance.local`):
+the chart data ``G = (psi o g o phi^{-1})'(0)`` together with the adapted
+corner description ``(A_hat, W)`` at ``g(p)``:
 
 * transversality:  ``rank [G | basis(T_q K)] = n``
 * MFCQ:            ``W G`` surjective and a strictly feasible direction
@@ -27,9 +28,11 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .cones import matrix_rank, nnls_mixed, null_space
+from .cones import (cone_disagreements, linearizing_cone, matrix_rank, nnls_mixed,
+                    null_space)
 from .errors import ModelMismatchError, NoMultiplierError
-from .problem import ProblemInstance
+from .geometry import push_covector, transition_jacobian
+from .problem import LocalRepresentation, ProblemInstance
 
 TOL_KKT = 1e-8
 TOL_ACT = 1e-7
@@ -53,38 +56,57 @@ class CQReport:
 
 @dataclass
 class KKTCertificate:
-    """Multiplier data at a point, expressed in adapted chart coordinates."""
+    """Multiplier data at a point, expressed in the adapted chart of ``local``."""
 
     mu_chart: np.ndarray
     lambda_ineq: np.ndarray
     lambda_eq: np.ndarray
     stationarity_residual: float
     activity: tuple
-    point: np.ndarray
-    chart_kind: str = "default"
-    adapted_kind: str = "default"
+    local: LocalRepresentation
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.local.point
+
+    @property
+    def chart_kind(self) -> str:
+        return self.local.chart_kind
+
+    @property
+    def adapted_kind(self) -> str:
+        return self.local.adapted_kind
 
 
-def _chart_data(prob: ProblemInstance, p, chart_kind: str, adapted_kind: str):
-    chart_m, data = prob.chart_pair(p, chart_kind, adapted_kind)
-    jac = prob.constraint_jacobian(p, chart_m, data.chart)
-    return chart_m, data, jac
+def _corner_rows(loc: LocalRepresentation) -> np.ndarray:
+    """``B = [A; W]``, the inequality rows stacked on the equality rows."""
+    return np.vstack([loc.corner.inequality_rows(), loc.corner.equality_rows()])
 
 
-def _transversal(data, jac, tol) -> bool:
+def _wg_surjective(loc: LocalRepresentation, tol) -> bool:
+    data = loc.corner
+    wg = data.equality_rows() @ loc.jacobian
+    return not wg.size or matrix_rank(wg, rtol=tol) == data.n - data.k
+
+
+def check_transversality(loc: LocalRepresentation, tol: float = 1e-8) -> bool:
+    """True iff ``image g'(p) - T_q K`` spans the whole tangent space at g(p)."""
+    data, jac = loc.corner, loc.jacobian
     tk_basis = null_space(data.equality_rows(), data.n)
     stacked = np.hstack([jac, tk_basis]) if tk_basis.size else jac
     return matrix_rank(stacked, rtol=tol) == data.n
 
 
-def _wg_surjective(data, jac, tol) -> bool:
-    wg = data.equality_rows() @ jac
-    return not wg.size or matrix_rank(wg, rtol=tol) == data.n - data.k
+def check_mfcq(loc: LocalRepresentation, tol: float = 1e-8):
+    """Surjectivity of ``W G`` plus a strictly feasible direction.
 
-
-def _mfcq(data, jac, tol):
+    Returns ``(holds, witness)`` where the witness solves the margin LP
+    ``max s`` subject to ``W G x = 0``, ``A G x + s <= 0`` and
+    ``|x|_inf <= 1``.
+    """
+    data, jac = loc.corner, loc.jacobian
     m = jac.shape[1]
-    if not _wg_surjective(data, jac, tol):
+    if not _wg_surjective(loc, tol):
         return False, None
     if data.ell == 0:
         return True, np.zeros(m)
@@ -108,17 +130,21 @@ def _mfcq(data, jac, tol):
     return True, res.x[:m]
 
 
-def _zkrcq(data, jac, tol) -> bool:
-    """``image G - T^i = R^n`` iff its polar, the ``y = -(A^T lam + W^T nu)``
+def check_zkrcq(loc: LocalRepresentation, tol: float = 1e-8) -> bool:
+    """Whether ``image G - T^i`` (``T^i`` the inner tangent cone) is the whole
+    space: a rank test on ``W G`` plus, when ``l > 0``, one Gordan LP.
+
+    ``image G - T^i = R^n`` iff its polar, the ``y = -(A^T lam + W^T nu)``
     with ``lam >= 0`` and ``G^T y = 0``, is ``{0}``.  The rows of ``[A; W]``
     are independent, so ``lam = 0`` gives ``y != 0`` iff ``W G`` is not
     surjective, and ``lam != 0`` scales to ``1^T lam = 1`` (Gordan's LP).
     """
-    if not _wg_surjective(data, jac, tol):
+    data, jac = loc.corner, loc.jacobian
+    if not _wg_surjective(loc, tol):
         return False
     if data.ell == 0:
         return True
-    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
+    rows = _corner_rows(loc)
     n_free = data.n - data.k
     a_eq = np.vstack([jac.T @ rows.T, np.r_[np.ones(data.ell), np.zeros(n_free)]])
     res = scipy.optimize.linprog(
@@ -127,53 +153,22 @@ def _zkrcq(data, jac, tol) -> bool:
     return res.status == 2  # proven infeasible: the polar is {0}
 
 
-def _licq(data, jac, tol) -> bool:
-    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
-    return rows.size == 0 or matrix_rank(rows @ jac, rtol=tol) == rows.shape[0]
-
-
-def check_transversality(prob: ProblemInstance, p, tol: float = 1e-8,
-                         chart_kind: str = "default",
-                         adapted_kind: str = "default") -> bool:
-    """True iff ``image g'(p) - T_q K`` spans the whole tangent space at g(p)."""
-    return _transversal(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
-
-
-def check_mfcq(prob: ProblemInstance, p, tol: float = 1e-8,
-               chart_kind: str = "default", adapted_kind: str = "default"):
-    """Surjectivity of ``W G`` plus a strictly feasible direction.
-
-    Returns ``(holds, witness)`` where the witness solves the margin LP
-    ``max s`` subject to ``W G x = 0``, ``A G x + s <= 0`` and
-    ``|x|_inf <= 1``.
-    """
-    return _mfcq(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
-
-
-def check_zkrcq(prob: ProblemInstance, p, tol: float = 1e-8,
-                chart_kind: str = "default", adapted_kind: str = "default") -> bool:
-    """Whether ``image G - T^i`` (``T^i`` the inner tangent cone) is the whole
-    space: a rank test on ``W G`` plus, when ``l > 0``, one Gordan LP."""
-    return _zkrcq(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
-
-
-def check_licq(prob: ProblemInstance, p, tol: float = 1e-8,
-               chart_kind: str = "default", adapted_kind: str = "default") -> bool:
+def check_licq(loc: LocalRepresentation, tol: float = 1e-8) -> bool:
     """Surjectivity of ``B G`` with ``B`` stacking the corner rows."""
-    return _licq(*_chart_data(prob, p, chart_kind, adapted_kind)[1:], tol)
+    rows = _corner_rows(loc)
+    return rows.size == 0 or matrix_rank(rows @ loc.jacobian, rtol=tol) == rows.shape[0]
 
 
-def cq_report(prob: ProblemInstance, p, tol: float = 1e-8,
-              chart_kind: str = "default", adapted_kind: str = "default") -> CQReport:
-    _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    mfcq, witness = _mfcq(data, jac, tol)
-    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
+def cq_report(loc: LocalRepresentation, tol: float = 1e-8) -> CQReport:
+    data, jac = loc.corner, loc.jacobian
+    mfcq, witness = check_mfcq(loc, tol)
+    rows = _corner_rows(loc)
     rank_bg = matrix_rank(rows @ jac) if rows.size else 0
     return CQReport(
-        transversal=_transversal(data, jac, tol),
-        zkrcq=_zkrcq(data, jac, tol),
+        transversal=check_transversality(loc, tol),
+        zkrcq=check_zkrcq(loc, tol),
         mfcq=mfcq,
-        licq=_licq(data, jac, tol),
+        licq=check_licq(loc, tol),
         mfcq_witness=witness,
         rank_data={
             "rank_constraint_jacobian": matrix_rank(jac),
@@ -189,11 +184,13 @@ def solve_kkt(prob: ProblemInstance, p, tol: float = TOL_KKT,
     """Recover a Lagrange multiplier by nonnegative least squares.
 
     Minimizes the stationarity residual over ``lambda_I >= 0`` and free
-    ``lambda_E``; succeeds iff the optimum is below ``tol * (1 + |grad f|)``.
-    Raises :class:`NoMultiplierError` otherwise -- the point is not KKT.
+    ``lambda_E`` in the local representation ``prob.local(p, chart_kind,
+    adapted_kind)``, which the certificate carries; succeeds iff the optimum
+    is below ``tol * (1 + |grad f|)``.  Raises :class:`NoMultiplierError`
+    otherwise -- the point is not KKT.
     """
-    chart_m, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    grad = prob.objective_gradient(p, chart_m)
+    loc = prob.local(p, chart_kind, adapted_kind)
+    data, jac, grad = loc.corner, loc.jacobian, loc.gradient
     rows_i = data.inequality_rows()
     rows_e = data.equality_rows()
     cols_nonneg = jac.T @ rows_i.T if rows_i.size else np.zeros((jac.shape[1], 0))
@@ -211,74 +208,60 @@ def solve_kkt(prob: ProblemInstance, p, tol: float = TOL_KKT,
     activity = tuple("strong" if lam > tol_act else "weak" for lam in lam_i)
     return KKTCertificate(
         mu_chart=mu_chart, lambda_ineq=lam_i, lambda_eq=lam_e,
-        stationarity_residual=residual, activity=activity,
-        point=np.asarray(p, dtype=float),
-        chart_kind=chart_kind, adapted_kind=adapted_kind)
+        stationarity_residual=residual, activity=activity, local=loc)
 
 
-def stationarity_residual(prob: ProblemInstance, p, mu_chart,
-                          chart_kind: str = "default",
-                          adapted_kind: str = "default") -> float:
+def stationarity_residual(loc: LocalRepresentation, mu_chart) -> float:
     """``| grad f + G^T mu |`` for a given multiplier in adapted coordinates."""
-    chart_m, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    grad = prob.objective_gradient(p, chart_m)
-    return float(np.linalg.norm(grad + jac.T @ np.asarray(mu_chart, dtype=float)))
+    return float(np.linalg.norm(loc.gradient
+                                + loc.jacobian.T @ np.asarray(mu_chart, dtype=float)))
 
 
-def multiplier_set_probe(prob: ProblemInstance, p, cert: KKTCertificate,
-                         chart_kind: str = "default",
-                         adapted_kind: str = "default") -> dict:
+def multiplier_set_probe(loc: LocalRepresentation) -> dict:
     """Estimate the affine dimension of the multiplier set at a KKT point.
 
     Null-space analysis of the stacked stationarity system in the
     ``(lambda_I, lambda_E)`` variables; dimension zero means the multiplier
     is unique (always the case under LICQ).
     """
-    _, data, jac = _chart_data(prob, p, chart_kind, adapted_kind)
-    rows = np.vstack([data.inequality_rows(), data.equality_rows()])
+    rows = _corner_rows(loc)
     if rows.size == 0:
         return {"unique": True, "dim_estimate": 0}
-    design = jac.T @ rows.T  # m x (l + n - k)
+    design = loc.jacobian.T @ rows.T  # m x (l + n - k)
     dim_null = design.shape[1] - matrix_rank(design)
     return {"unique": dim_null == 0, "dim_estimate": int(dim_null)}
 
 
-def chart_switch_residual(prob: ProblemInstance, p, cert: KKTCertificate,
-                          chart_kind: str, adapted_kind: str) -> float:
-    """Stationarity residual after re-expressing the certificate in new charts.
+def chart_switch_residual(cert: KKTCertificate, loc: LocalRepresentation) -> float:
+    """Stationarity residual after re-expressing the certificate in the
+    charts of ``loc``, a representation at the same point.
 
     The multiplier moves between adapted charts with the inverse-transpose
     transition Jacobian; a valid certificate stays small in every
     representation.
     """
-    from .geometry import push_covector
-
-    q = prob.constraint(p)
-    chart_old = prob.constraint_set.adapted_chart(q, kind=cert.adapted_kind).chart
-    chart_new = prob.constraint_set.adapted_chart(q, kind=adapted_kind).chart
+    chart_old = cert.local.corner.chart
+    chart_new = loc.corner.chart
     if chart_old.chart_id == chart_new.chart_id:
         mu_new = cert.mu_chart
     else:
         mu_new = push_covector(chart_old, chart_new, cert.mu_chart)
-    return stationarity_residual(prob, p, mu_new, chart_kind, adapted_kind)
+    return stationarity_residual(loc, mu_new)
 
 
-def cone_membership_agreement(prob: ProblemInstance, p,
-                              pair_a=("default", "default"),
-                              pair_b=("alt", "alt")) -> dict:
-    """Exact equality of the linearizing cones of two chart representations.
+def cone_membership_agreement(loc_a: LocalRepresentation,
+                              loc_b: LocalRepresentation) -> dict:
+    """Exact equality of the linearizing cones of two representations at one
+    point.
 
     ``disagreements`` counts the rows of either cone that are not valid on
-    the other once both act in the first chart (:func:`cones.cone_disagreements`);
-    it is 0 iff the cones describe the same object.
+    the other once both act in the chart of ``loc_a``
+    (:func:`cones.cone_disagreements`); it is 0 iff the cones describe the
+    same object.
     """
-    from .cones import cone_disagreements, linearizing_cone
-    from .geometry import transition_jacobian
-
-    cone_a = linearizing_cone(prob, p, chart_kind=pair_a[0], adapted_kind=pair_a[1])
-    cone_b = linearizing_cone(prob, p, chart_kind=pair_b[0], adapted_kind=pair_b[1])
-    trans = transition_jacobian(prob.domain.chart(p, pair_a[0]),
-                                prob.domain.chart(p, pair_b[0]))
+    cone_a = linearizing_cone(loc_a)
+    cone_b = linearizing_cone(loc_b)
+    trans = transition_jacobian(loc_a.chart, loc_b.chart)
     return {"disagreements": cone_disagreements(cone_a, cone_b, trans)}
 
 

@@ -14,8 +14,10 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.optimize
 
+from .cones import linearizing_cone
 from .errors import DimensionTooLargeError, DomainError, InfeasiblePointError
-from .problem import ProblemInstance
+from .geometry import transition_jacobian
+from .problem import LocalRepresentation, ProblemInstance
 
 
 def fd_jacobian(fn: Callable, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -89,8 +91,8 @@ def tangent_cone_oracle(prob: ProblemInstance, p: np.ndarray, v_rep: np.ndarray,
     semi-decision procedure: near the cone boundary the trend may be
     ambiguous, so callers should probe directions with a clear margin.
     """
-    prob.require_feasible(p)
-    chart_m, data = prob.chart_pair(p, chart_kind, adapted_kind)
+    loc = prob.local(p, chart_kind, adapted_kind)
+    chart_m, data = loc.chart, loc.corner
     gfun = prob.constraint_in_charts(chart_m, data.chart)
     rows_i = data.inequality_rows()
     rows_e = data.equality_rows()
@@ -169,22 +171,17 @@ def zkrcq_primal(jac: np.ndarray, rows_ineq: np.ndarray, rows_eq: np.ndarray) ->
     return True
 
 
-def cone_membership_sampled(prob: ProblemInstance, p: np.ndarray, n_samples: int,
-                            seed: int, pair_a=("default", "default"),
-                            pair_b=("alt", "alt")) -> int:
+def cone_membership_sampled(loc_a: LocalRepresentation, loc_b: LocalRepresentation,
+                            n_samples: int, seed: int) -> int:
     """Disagreements of linearizing-cone membership across two representations.
 
     Random unit directions are drawn in the first representation,
     transported with the transition Jacobian, and classified in both.
     """
-    from .cones import linearizing_cone
-    from .geometry import transition_jacobian
-
-    chart_a = prob.domain.chart(p, pair_a[0])
-    chart_b = prob.domain.chart(p, pair_b[0])
-    cone_a = linearizing_cone(prob, p, chart_kind=pair_a[0], adapted_kind=pair_a[1])
-    cone_b = linearizing_cone(prob, p, chart_kind=pair_b[0], adapted_kind=pair_b[1])
-    trans = transition_jacobian(chart_a, chart_b)
+    chart_a = loc_a.chart
+    cone_a = linearizing_cone(loc_a)
+    cone_b = linearizing_cone(loc_b)
+    trans = transition_jacobian(chart_a, loc_b.chart)
     rng = np.random.default_rng(seed)
     disagreements = 0
     for _ in range(n_samples):

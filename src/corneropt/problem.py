@@ -5,7 +5,9 @@ ambient derivatives.  Chart representations ``f o phi^{-1}`` and
 ``psi o g o phi^{-1}`` and their derivatives at the chart center are derived
 here; analytic ambient derivatives are chained through the chart Jacobians
 when available, otherwise central finite differences (step ``fd_step``) are
-used.  Pull-backs through retractions and linearizing maps are built in
+used.  :meth:`ProblemInstance.local` builds the local representation at a
+feasible point once, and every first- and second-order check reads it.
+Pull-backs through retractions and linearizing maps are built in
 :mod:`corneropt.secondorder`.
 """
 
@@ -16,9 +18,28 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .corners import CornerSet, TOL_FEAS
+from .corners import AdaptedChartData, CornerSet, TOL_FEAS
 from .errors import InfeasiblePointError
 from .geometry import Chart, Manifold, fd_gradient_of, fd_jacobian_of
+
+
+@dataclass(frozen=True)
+class LocalRepresentation:
+    """The problem at a feasible point ``p`` in one pair of charts.
+
+    ``chart`` is the chart ``phi`` at ``p``, ``corner`` the adapted chart
+    ``psi`` at ``g(p)`` with its corner rows ``(A_hat, W)``, ``jacobian`` is
+    ``G = (psi o g o phi^{-1})'(0)`` and ``gradient`` is
+    ``grad (f o phi^{-1})(0)``.  Built only by :meth:`ProblemInstance.local`.
+    """
+
+    point: np.ndarray
+    chart: Chart
+    corner: AdaptedChartData
+    jacobian: np.ndarray
+    gradient: np.ndarray
+    chart_kind: str
+    adapted_kind: str
 
 
 @dataclass(frozen=True)
@@ -74,14 +95,18 @@ class ProblemInstance:
         fn = self.constraint_in_charts(chart_m, chart_n)
         return fd_jacobian_of(fn, np.zeros(chart_m.dim), h=self.fd_step)
 
-    # -- convenience ----------------------------------------------------------
-
-    def chart_pair(self, p: np.ndarray, chart_kind: str = "default",
-                   adapted_kind: str = "default"):
-        """The working chart at ``p`` and the adapted chart data at ``g(p)``."""
+    def local(self, p: np.ndarray, chart_kind: str = "default",
+              adapted_kind: str = "default") -> LocalRepresentation:
+        """The local representation at ``p`` in charts of the given kinds;
+        raises :class:`InfeasiblePointError` when ``g(p)`` is not in ``K``."""
+        p = np.asarray(p, dtype=float)
         q = self.constraint(p)
         if not self.constraint_set.contains(q):
             raise InfeasiblePointError(f"g(p) is not in the corner set of {self.name!r}")
-        chart_m = self.domain.chart(p, kind=chart_kind)
-        data = self.constraint_set.adapted_chart(q, kind=adapted_kind)
-        return chart_m, data
+        chart = self.domain.chart(p, kind=chart_kind)
+        corner = self.constraint_set.adapted_chart(q, kind=adapted_kind)
+        return LocalRepresentation(
+            point=p, chart=chart, corner=corner,
+            jacobian=self.constraint_jacobian(p, chart, corner.chart),
+            gradient=self.objective_gradient(p, chart),
+            chart_kind=chart_kind, adapted_kind=adapted_kind)

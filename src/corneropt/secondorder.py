@@ -142,10 +142,9 @@ class CriticalCone:
     mu_chart: np.ndarray
 
 
-def critical_cone(prob: ProblemInstance, p, cert: KKTCertificate,
-                  chart_kind: str = "default", adapted_kind: str = "default",
-                  tol_act: float = TOL_ACT) -> CriticalCone:
-    """Critical cones at a certified KKT point.
+def critical_cone(cert: KKTCertificate, tol_act: float = TOL_ACT) -> CriticalCone:
+    """Critical cones at a certified KKT point, in the certificate's local
+    representation.
 
     ``cone_m`` collects the linearizing-cone rows plus the equality row
     ``f'(p)``; ``cone_n`` is the inner tangent cone with the strongly active
@@ -153,9 +152,8 @@ def critical_cone(prob: ProblemInstance, p, cert: KKTCertificate,
     ``<mu, w> = 0`` holds throughout.  Ties at the threshold count as weakly
     active, which keeps the cone on the large (conservative) side.
     """
-    chart_m, data = prob.chart_pair(p, chart_kind, adapted_kind)
-    jac = prob.constraint_jacobian(p, chart_m, data.chart)
-    grad = prob.objective_gradient(p, chart_m)
+    loc = cert.local
+    data, jac, grad = loc.corner, loc.jacobian, loc.gradient
     resid = float(np.linalg.norm(grad + jac.T @ cert.mu_chart))
     if resid > 1e2 * TOL_KKT * (1.0 + np.linalg.norm(grad)):
         raise InvalidCertificateError(
@@ -175,7 +173,7 @@ def critical_cone(prob: ProblemInstance, p, cert: KKTCertificate,
     cone_m = PolyhedralCone.from_rows(
         rows_i @ jac,
         np.vstack([rows_e @ jac, grad.reshape(1, -1)]),
-        chart_m.dim)
+        loc.chart.dim)
     return CriticalCone(cone_m=cone_m, cone_n=cone_n, jacobian=jac,
                         mu_chart=cert.mu_chart.copy())
 
@@ -273,9 +271,8 @@ class InvarianceReport:
         return self.max_on_cone <= self.tol
 
 
-def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
-                     pullbacks: Sequence[PulledBackProblem], tol: float = 1e-5,
-                     n_samples: int = 200, seed: int = 0,
+def invariance_check(cert: KKTCertificate, pullbacks: Sequence[PulledBackProblem],
+                     tol: float = 1e-5, n_samples: int = 200, seed: int = 0,
                      crit: Optional[CriticalCone] = None) -> list[InvarianceReport]:
     """Compare the pulled-back Hessians of every pair of ``pullbacks`` on the
     critical cone.
@@ -284,21 +281,22 @@ def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
     ..., (1, 2), ...``.  The critical cone and the sampled directions are
     built once, and each pull-back's Hessian and its values on those
     directions once, whatever the number of pairs.  ``crit`` is the critical
-    cone of ``cert`` at ``p`` when the caller has formed it already.
+    cone of ``cert`` when the caller has formed it already.
 
-    The multiplier is transported into each linearizing map's frame with the
-    inverse-transpose transition Jacobian; sampled critical-cone directions
-    are transported from the default chart into each retraction's frame the
-    same way.  Off-cone directions are evaluated as well and their
-    (expected, permitted) discrepancy is recorded without being asserted.
+    The multiplier is transported from the certificate's adapted chart into
+    each linearizing map's frame with the inverse-transpose transition
+    Jacobian; sampled critical-cone directions are transported from the
+    certificate's chart into each retraction's frame the same way.  Off-cone
+    directions are evaluated as well and their (expected, permitted)
+    discrepancy is recorded without being asserted.
     """
     if len(pullbacks) < 2:
         return []
     if crit is None:
-        crit = critical_cone(prob, p, cert, adapted_kind=cert.adapted_kind)
-    cert_chart = _adapted_chart(prob, p, cert)
-    # cone_m lives in the default chart frame at p
-    default_chart = prob.domain.chart(p, "default")
+        crit = critical_cone(cert)
+    cert_chart = cert.local.corner.chart
+    # cone_m lives in the chart of the certificate's representation
+    cone_chart = cert.local.chart
     rng = np.random.default_rng(seed)
     on_cone = []
     for v in sample_cone(crit.cone_m, rng, n_samples):
@@ -307,7 +305,7 @@ def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
         on_cone.append(v)
     off_cone = []
     for _ in range(n_samples // 2):
-        v = rng.standard_normal(default_chart.dim)
+        v = rng.standard_normal(cone_chart.dim)
         v /= np.linalg.norm(v)
         off_cone.append(v)
 
@@ -318,8 +316,8 @@ def invariance_check(prob: ProblemInstance, p, cert: KKTCertificate,
             mu = push_covector(cert_chart, pb.linmap.chart, cert.mu_chart)
         hess = lagrangian_hessian(pb, mu)
         jac = None
-        if pb.retraction.chart.chart_id != default_chart.chart_id:
-            jac = transition_jacobian(default_chart, pb.retraction.chart)
+        if pb.retraction.chart.chart_id != cone_chart.chart_id:
+            jac = transition_jacobian(cone_chart, pb.retraction.chart)
         forms.append(hess)
         on_values.append([hess(v if jac is None else jac @ v) for v in on_cone])
         off_values.append([hess(v if jac is None else jac @ v) for v in off_cone])
@@ -336,11 +334,6 @@ def _max_gap(values_1, values_2) -> float:
     for a, b in zip(values_1, values_2):
         gap = max(gap, abs(a - b))
     return gap
-
-
-def _adapted_chart(prob, p, cert):
-    q = prob.constraint(p)
-    return prob.constraint_set.adapted_chart(q, kind=cert.adapted_kind).chart
 
 
 def transition_second_derivative(lm1: LinearizingMap, lm2: LinearizingMap,

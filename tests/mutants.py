@@ -58,7 +58,7 @@ MUTANTS = {
     "M7": ("critical-cone directions not transported into each retraction "
            "chart in invariance_check",
            ("src/corneropt/secondorder.py",
-            "jac = transition_jacobian(default_chart, pb.retraction.chart)",
+            "jac = transition_jacobian(cone_chart, pb.retraction.chart)",
             "jac = None"),
            ["tests/test_secondorder.py::TestInvariance::"
             "test_directions_are_transported_into_rotated_retraction_charts"],

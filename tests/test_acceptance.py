@@ -96,7 +96,7 @@ def test_criterion_2_classical_reduction():
                 "seed": int(rng.integers(10 ** 9))})
             ref = prob.extras["reference"]
             point = ref["point"]
-            assert check_licq(prob, point), trial
+            assert check_licq(prob.local(point)), trial
             cert = solve_kkt(prob, point)
             report = classical_report(cert, prob, point)
             assert np.max(np.abs(report.eta_ineq - ref["eta_ineq"]),
@@ -140,10 +140,9 @@ def _builtin_certified_points():
     return out
 
 
-def _zkrcq_oracle(prob, point) -> bool:
-    chart_m, data = prob.chart_pair(point)
-    jac = prob.constraint_jacobian(point, chart_m, data.chart)
-    return zkrcq_primal(jac, data.inequality_rows(), data.equality_rows())
+def _zkrcq_oracle(loc) -> bool:
+    return zkrcq_primal(loc.jacobian, loc.corner.inequality_rows(),
+                        loc.corner.equality_rows())
 
 
 def test_criterion_3_cq_equivalence_and_chain():
@@ -157,23 +156,24 @@ def test_criterion_3_cq_equivalence_and_chain():
                 "n_ineq": int(rng.integers(0, 5)),
                 "n_eq": int(rng.integers(0, min(m, 2) + 1)),
                 "seed": int(rng.integers(10 ** 9))})
-            point = prob.extras["reference"]["point"]
-            mfcq, _ = check_mfcq(prob, point)
-            zkrcq = check_zkrcq(prob, point)
-            licq = check_licq(prob, point)
-            trans = check_transversality(prob, point)
-            if mfcq != zkrcq or zkrcq != _zkrcq_oracle(prob, point):
+            loc = prob.local(prob.extras["reference"]["point"])
+            mfcq, _ = check_mfcq(loc)
+            zkrcq = check_zkrcq(loc)
+            licq = check_licq(loc)
+            trans = check_transversality(loc)
+            if mfcq != zkrcq or zkrcq != _zkrcq_oracle(loc):
                 disagreements += 1
             assert (not licq) or zkrcq
             assert (not zkrcq) or trans
         assert disagreements == 0
         for name, prob, point in _builtin_certified_points():
-            mfcq, _ = check_mfcq(prob, point)
-            zkrcq = check_zkrcq(prob, point)
-            licq = check_licq(prob, point)
-            trans = check_transversality(prob, point)
+            loc = prob.local(point)
+            mfcq, _ = check_mfcq(loc)
+            zkrcq = check_zkrcq(loc)
+            licq = check_licq(loc)
+            trans = check_transversality(loc)
             assert mfcq == zkrcq, name
-            assert zkrcq == _zkrcq_oracle(prob, point), name
+            assert zkrcq == _zkrcq_oracle(loc), name
             assert (not licq) or zkrcq, name
             assert (not zkrcq) or trans, name
 
@@ -196,8 +196,9 @@ def test_criterion_4_chart_and_retraction_invariance():
         for name, prob, point in _builtin_certified_points():
             chart_alt, adapted_alt, retr_kinds, linmap_kinds = MODEL_ALT_KINDS[name]
             cert = solve_kkt(prob, point, tol=1e-7)
+            loc_alt = prob.local(point, chart_alt, adapted_alt)
             # (a) alternate-representation residual
-            resid = chart_switch_residual(prob, point, cert, chart_alt, adapted_alt)
+            resid = chart_switch_residual(cert, loc_alt)
             assert resid <= 1e-7, (name, resid)
             # (b) pulled-back Hessian invariance on the critical cone
             pullbacks = []
@@ -211,18 +212,16 @@ def test_criterion_4_chart_and_retraction_invariance():
                         pb = build_pullback(prob, point, retraction_kind=retr,
                                             linmap_kind=lm_kind)
                     pullbacks.append(pb)
-            reports = invariance_check(prob, point, cert, pullbacks,
-                                       n_samples=200, seed=4)
+            reports = invariance_check(cert, pullbacks, n_samples=200, seed=4)
             for k, report in enumerate(reports):
                 analytic = (report.hessian_1.source == "analytic"
                             and report.hessian_2.source == "analytic")
                 tol = 1e-9 if analytic else 1e-5
                 assert report.max_on_cone <= tol, (name, k, report.max_on_cone)
             # (c) cone membership across representations: exact, and sampled
-            pairs = dict(pair_a=("default", "default"), pair_b=(chart_alt, adapted_alt))
-            agree = cone_membership_agreement(prob, point, **pairs)
+            agree = cone_membership_agreement(cert.local, loc_alt)
             assert agree["disagreements"] == 0, name
-            assert cone_membership_sampled(prob, point, 500, 4, **pairs) == 0, name
+            assert cone_membership_sampled(cert.local, loc_alt, 500, 4) == 0, name
 
 
 def test_criterion_5_sphere_polygon_end_to_end(tmp_path, capsys):
@@ -277,7 +276,7 @@ def test_criterion_6_control_model_adjoint():
         # LICQ verdict equals the direct full-rank test of c'(y, u)
         q_mat = prob.extras["q_mat"]
         c_prime = np.hstack([q_mat, -np.eye(n)])
-        assert check_licq(prob, point) == (np.linalg.matrix_rank(c_prime) == n)
+        assert check_licq(prob.local(point)) == (np.linalg.matrix_rank(c_prime) == n)
 
 
 def _grid_form_minimum(matrix, cone, resolution=1e-3):
@@ -311,7 +310,7 @@ def test_criterion_7_second_order_verdicts():
         prob = build_classical_nlp({"m": 3, "seed": 7})
         point = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, point)
-        crit = critical_cone(prob, point, cert)
+        crit = critical_cone(cert)
         hess = lagrangian_hessian(build_pullback(prob, point), cert.mu_chart)
         assert sosc_check(hess, crit).holds
 
@@ -320,7 +319,7 @@ def test_criterion_7_second_order_verdicts():
                                       "seed": 0, "curvature": "indefinite"})
         point_s = saddle.extras["reference"]["point"]
         cert_s = solve_kkt(saddle, point_s)
-        crit_s = critical_cone(saddle, point_s, cert_s)
+        crit_s = critical_cone(cert_s)
         hess_s = lagrangian_hessian(build_pullback(saddle, point_s), cert_s.mu_chart)
         verdict = sosc_check(hess_s, crit_s)
         assert verdict.status == "fails"
@@ -339,7 +338,7 @@ def test_criterion_7_second_order_verdicts():
             if point_i is None:
                 point_i = prob_i.extras["reference"]["point"]
             cert_i = solve_kkt(prob_i, point_i)
-            crit_i = critical_cone(prob_i, point_i, cert_i)
+            crit_i = critical_cone(cert_i)
             hess_i = lagrangian_hessian(build_pullback(prob_i, point_i),
                                         cert_i.mu_chart)
             verdict_i = sosc_check(hess_i, crit_i)
@@ -400,7 +399,7 @@ def test_criterion_8_tangent_cone_equals_inner_cone():
         for name, prob, point in _oracle_instances():
             corner = prob.constraint_set
             cone = inner_tangent_cone(corner, prob.constraint(point))
-            lin_cone = linearizing_cone(prob, point)
+            lin_cone = linearizing_cone(prob.local(point))
             chart = prob.domain.chart(point)
             rng = np.random.default_rng(88)
             dim = chart.dim

@@ -201,11 +201,23 @@ class TestCertify:
         # five pull-backs (the certificate's and four in the invariance
         # section), four of them distinct: comparing them pairwise once took
         # 13 Hessians and 7 critical cones, and value differences took 3,015
-        # Lagrangian values
+        # Lagrangian values.  Two local representations are in play, in the
+        # default and the alternate charts; cq_report and solve_kkt each build
+        # the default one, the invariance section the alternate one.
+        # Rebuilding them per check took 6 constraint Jacobians
         from corneropt import cli, secondorder
         from corneropt.models import build_control_model
-        counts = {"lagrangian_hessian": 0, "critical_cone": 0, "lagrangian_value": 0}
-        for name in counts:
+        from corneropt.problem import ProblemInstance
+        counts = {"lagrangian_hessian": 0, "critical_cone": 0, "lagrangian_value": 0,
+                  "constraint_jacobian": 0}
+        jacobian = ProblemInstance.constraint_jacobian
+
+        def counted_jacobian(*args, **kwargs):
+            counts["constraint_jacobian"] += 1
+            return jacobian(*args, **kwargs)
+
+        monkeypatch.setattr(ProblemInstance, "constraint_jacobian", counted_jacobian)
+        for name in ("lagrangian_hessian", "critical_cone", "lagrangian_value"):
             original = getattr(secondorder, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -225,6 +237,7 @@ class TestCertify:
         assert counts["lagrangian_hessian"] <= 4, counts
         assert counts["critical_cone"] <= 1
         assert counts["lagrangian_value"] <= 10, counts
+        assert counts["constraint_jacobian"] <= 3, counts
 
     @staticmethod
     def _first_order_counts(monkeypatch):

@@ -198,7 +198,7 @@ class TestTransport:
 class TestLinearizingCone:
     def test_identity_constraint(self):
         prob = build_remark_counterexample()
-        cone = linearizing_cone(prob, np.zeros(2))
+        cone = linearizing_cone(prob.local(np.zeros(2)))
         assert contains(cone, np.array([-1.0, 0.3]))
         assert not contains(cone, np.array([1.0, 0.0]))
 
@@ -215,14 +215,14 @@ class TestLinearizingCone:
             constraint=lambda x: g_mat @ np.asarray(x, dtype=float),
             constraint_jac_ambient=lambda x: g_mat,
             objective_grad_ambient=lambda x: np.zeros(3))
-        cone = linearizing_cone(prob, np.zeros(3))
+        cone = linearizing_cone(prob.local(np.zeros(3)))
         basis = span_basis(cone)
         np.testing.assert_allclose(g_mat @ basis, np.zeros((2, 1)), atol=1e-9)
 
     def test_sphere_triangle_edge_row(self):
         prob = build_sphere_polygon()
         edge_point = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        cone = linearizing_cone(prob, edge_point)
+        cone = linearizing_cone(prob.local(edge_point))
         assert cone.n_ineq == 1
         assert cone.n_eq == 0
 

@@ -38,38 +38,38 @@ def simple_instance(g_mat, ineq, eq, objective=None, grad=None, m=None):
 class TestTransversality:
     def test_identity_full_dimensional(self):
         prob = build_remark_counterexample()
-        assert check_transversality(prob, np.zeros(2))
+        assert check_transversality(prob.local(np.zeros(2)))
 
     def test_zero_jacobian_point_target(self):
         g_mat = np.zeros((1, 2))
         prob = simple_instance(g_mat, ineq=(), eq=(0,))
-        assert not check_transversality(prob, np.zeros(2))
+        assert not check_transversality(prob.local(np.zeros(2)))
 
     def test_sphere_triangle_edge(self):
         prob = build_sphere_polygon()
         edge = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-        assert check_transversality(prob, edge)
+        assert check_transversality(prob.local(edge))
 
     def test_infeasible_point_rejected(self):
         prob = build_remark_counterexample()
         with pytest.raises(InfeasiblePointError):
-            check_transversality(prob, np.array([1.0, 0.0]))
+            check_transversality(prob.local(np.array([1.0, 0.0])))
 
 
 class TestMfcqZkrcq:
     def test_single_inequality_witness(self):
         prob = build_remark_counterexample()
-        holds, witness = check_mfcq(prob, np.zeros(2))
+        holds, witness = check_mfcq(prob.local(np.zeros(2)))
         assert holds
         assert witness[0] == pytest.approx(-1.0, abs=1e-9)
-        assert check_zkrcq(prob, np.zeros(2))
+        assert check_zkrcq(prob.local(np.zeros(2)))
 
     def test_opposing_constraints(self):
         g_mat = np.array([[1.0, 0.0], [-1.0, 0.0]])
         prob = simple_instance(g_mat, ineq=(0, 1), eq=())
-        holds, _ = check_mfcq(prob, np.zeros(2))
+        holds, _ = check_mfcq(prob.local(np.zeros(2)))
         assert not holds
-        assert not check_zkrcq(prob, np.zeros(2))
+        assert not check_zkrcq(prob.local(np.zeros(2)))
 
     def test_equivalence_on_random_instances(self):
         rng = np.random.default_rng(77)
@@ -80,8 +80,8 @@ class TestMfcqZkrcq:
             prob = build_classical_nlp({"m": m, "n_ineq": n_i, "n_eq": n_e,
                                         "seed": int(rng.integers(10 ** 6))})
             x = prob.extras["reference"]["point"]
-            mfcq, _ = check_mfcq(prob, x)
-            assert mfcq == check_zkrcq(prob, x), trial
+            mfcq, _ = check_mfcq(prob.local(x))
+            assert mfcq == check_zkrcq(prob.local(x)), trial
 
 
 class LinearCornerSet(EuclideanCornerSet):
@@ -152,9 +152,9 @@ class TestZkrcqProperties:
         point = np.zeros(m)
         rows_i = np.hstack([a_hat, np.zeros((a_hat.shape[0], n_eq))])
         rows_e = np.hstack([np.zeros((n_eq, n - n_eq)), np.eye(n_eq)])
-        zkrcq = check_zkrcq(prob, point)
+        zkrcq = check_zkrcq(prob.local(point))
         assert zkrcq == zkrcq_primal(g_mat, rows_i, rows_e)
-        assert zkrcq == check_mfcq(prob, point)[0]
+        assert zkrcq == check_mfcq(prob.local(point))[0]
         if plant == "surjective":
             assert zkrcq
         elif plant in ("wg-deficient", "gordan"):
@@ -207,12 +207,12 @@ class TestConeEqualityProperties:
 class TestLicq:
     def test_independent_gradients(self):
         prob = build_classical_nlp({"m": 3, "n_ineq": 2, "n_eq": 1, "seed": 1})
-        assert check_licq(prob, prob.extras["reference"]["point"])
+        assert check_licq(prob.local(prob.extras["reference"]["point"]))
 
     def test_duplicated_rows_fail(self):
         g_mat = np.array([[1.0, 0.0], [1.0, 0.0]])
         prob = simple_instance(g_mat, ineq=(), eq=(0, 1))
-        assert not check_licq(prob, np.zeros(2))
+        assert not check_licq(prob.local(np.zeros(2)))
 
     def test_control_licq_iff_full_rank(self):
         prob = build_control_model({"n_nodes": 6})
@@ -221,7 +221,7 @@ class TestLicq:
         q_mat = prob.extras["q_mat"]
         c_prime = np.hstack([q_mat, -np.eye(n)])
         full_rank = np.linalg.matrix_rank(c_prime) == n
-        assert check_licq(prob, point) == full_rank
+        assert check_licq(prob.local(point)) == full_rank
         assert full_rank
 
 
@@ -234,7 +234,7 @@ class TestCqChain:
             (build_sphere_polygon(), np.array([1.0, 1.0, 0.0]) / math.sqrt(2)),
         ]
         for prob, point in cases:
-            report = cq_report(prob, point)
+            report = cq_report(prob.local(point))
             assert report.consistent
             assert report.mfcq == report.zkrcq
 
@@ -296,7 +296,7 @@ class TestMultiplierSetProbe:
         prob = build_classical_nlp({"seed": 8})
         x = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, x)
-        assert multiplier_set_probe(prob, x, cert) == {"unique": True, "dim_estimate": 0}
+        assert multiplier_set_probe(cert.local) == {"unique": True, "dim_estimate": 0}
 
     def test_redundant_constraint_dimension(self):
         g_mat = np.array([[1.0], [1.0]])
@@ -304,13 +304,13 @@ class TestMultiplierSetProbe:
                                objective=lambda x: 0.5 * float(x[0] ** 2),
                                grad=lambda x: np.array([float(x[0])]), m=1)
         cert = solve_kkt(prob, np.zeros(1))
-        probe = multiplier_set_probe(prob, np.zeros(1), cert)
+        probe = multiplier_set_probe(cert.local)
         assert probe == {"unique": False, "dim_estimate": 1}
 
     def test_remark_unique(self):
         prob = build_remark_counterexample()
         cert = solve_kkt(prob, np.zeros(2))
-        assert multiplier_set_probe(prob, np.zeros(2), cert)["unique"]
+        assert multiplier_set_probe(cert.local)["unique"]
 
 
 class TestClassicalReport:
@@ -359,15 +359,16 @@ class TestChartIndependence:
             if point is None:
                 point = prob.extras["reference"]["point"]
             cert = solve_kkt(prob, point, tol=1e-8)
-            resid = chart_switch_residual(prob, point, cert, chart_kind, adapted_kind)
+            resid = chart_switch_residual(cert, prob.local(point, chart_kind,
+                                                           adapted_kind))
             assert resid <= 10 * 1e-8
 
     def test_membership_agreement(self):
         prob = build_classical_nlp({"seed": 6})
         point = prob.extras["reference"]["point"]
-        pairs = dict(pair_a=("default", "default"), pair_b=("alt", "scaled"))
-        assert cone_membership_agreement(prob, point, **pairs) == {"disagreements": 0}
-        assert cone_membership_sampled(prob, point, 200, 1, **pairs) == 0
+        loc_a, loc_b = prob.local(point), prob.local(point, "alt", "scaled")
+        assert cone_membership_agreement(loc_a, loc_b) == {"disagreements": 0}
+        assert cone_membership_sampled(loc_a, loc_b, 200, 1) == 0
 
 
 class TestFirstOrderNecessity:
@@ -377,7 +378,7 @@ class TestFirstOrderNecessity:
         point = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, point)
         assert cert.stationarity_residual <= 1e-9
-        cone = linearizing_cone(prob, point)
+        cone = linearizing_cone(prob.local(point))
         chart = prob.domain.chart(point)
         grad = prob.objective_gradient(point, chart)
         rng = np.random.default_rng(0)
@@ -387,10 +388,10 @@ class TestFirstOrderNecessity:
     def test_descent_direction_when_not_kkt(self):
         prob = build_remark_counterexample()
         point = np.array([-1.0, 0.0])
-        assert check_zkrcq(prob, point)
+        assert check_zkrcq(prob.local(point))
         with pytest.raises(NoMultiplierError):
             solve_kkt(prob, point)
-        cone = linearizing_cone(prob, point)
+        cone = linearizing_cone(prob.local(point))
         chart = prob.domain.chart(point)
         grad = prob.objective_gradient(point, chart)
         rng = np.random.default_rng(1)
@@ -399,6 +400,6 @@ class TestFirstOrderNecessity:
 
 
 def test_stationarity_residual_helper():
-    prob = build_remark_counterexample()
-    assert stationarity_residual(prob, np.zeros(2), np.array([1.0, 0.0])) <= 1e-12
-    assert stationarity_residual(prob, np.zeros(2), np.zeros(2)) == pytest.approx(1.0)
+    loc = build_remark_counterexample().local(np.zeros(2))
+    assert stationarity_residual(loc, np.array([1.0, 0.0])) <= 1e-12
+    assert stationarity_residual(loc, np.zeros(2)) == pytest.approx(1.0)

@@ -193,7 +193,7 @@ class TestDiagonalModel:
     def test_rotation_kkt_matches_direct_equality_formulation(self):
         prob = build_diagonal_constraint({"variant": "rotation", "angle": 0.7})
         pole = np.array([0.0, 0.0, 1.0])
-        assert check_licq(prob, pole)
+        assert check_licq(prob.local(pole))
         cert = solve_kkt(prob, pole)
         # direct reformulation h(x) = chart(R p(x)) - chart(p(x)) = 0
         sphere = Sphere(2)
@@ -246,7 +246,7 @@ class TestControlModel:
     def test_licq_iff_surjective(self):
         prob = build_control_model({"n_nodes": 5})
         ref = prob.extras["reference"]
-        assert check_licq(prob, ref["point"])
+        assert check_licq(prob.local(ref["point"]))
 
     def test_bad_params(self):
         with pytest.raises(BadParamsError):

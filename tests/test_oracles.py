@@ -59,7 +59,7 @@ class TestTangentConeOracle:
         # coincide), so a direction with c'(y,u) v != 0 must be rejected
         prob = build_control_model({"n_nodes": 3})
         point = prob.extras["reference"]["point"]
-        cone = linearizing_cone(prob, point)
+        cone = linearizing_cone(prob.local(point))
         rng = np.random.default_rng(1)
         rejected = 0
         for _ in range(5):
@@ -73,7 +73,7 @@ class TestTangentConeOracle:
 
     def test_agrees_with_linearizing_cone_on_remark(self):
         prob = build_remark_counterexample()
-        cone = linearizing_cone(prob, np.zeros(2))
+        cone = linearizing_cone(prob.local(np.zeros(2)))
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = rng.standard_normal(2)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from corneropt.cones import PolyhedralCone, sample_cone
 from corneropt.corners import EuclideanCornerSet
-from corneropt.errors import NotStationaryError
+from corneropt.errors import InvalidCertificateError, NotStationaryError
 from corneropt.firstorder import solve_kkt
 from corneropt.geometry import Chart, Euclidean, Retraction, Sphere
 from corneropt.models import (build_classical_nlp, build_control_model,
@@ -39,7 +40,7 @@ def fd_only(pb):
 class TestCriticalCone:
     def test_remark_cone_is_v1_zero(self, remark):
         prob, cert = remark
-        crit = critical_cone(prob, np.zeros(2), cert)
+        crit = critical_cone(cert)
         for v, inside in [((0.0, 1.0), True), ((0.0, -2.0), True),
                           ((1.0, 0.0), False), ((-1.0, 0.0), False)]:
             assert crit.cone_m.contains(np.array(v), 1e-9) == inside
@@ -49,7 +50,7 @@ class TestCriticalCone:
         prob = build_classical_nlp({"m": 3, "n_ineq": 0, "n_eq": 0, "seed": 2})
         x = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, x)
-        crit = critical_cone(prob, x, cert)
+        crit = critical_cone(cert)
         rng = np.random.default_rng(0)
         for _ in range(50):
             assert crit.cone_m.contains(rng.standard_normal(3), 1e-9)
@@ -60,7 +61,7 @@ class TestCriticalCone:
         x = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, x)
         assert cert.activity == ("strong",)
-        crit = critical_cone(prob, x, cert)
+        crit = critical_cone(cert)
         # direct construction: {v : row . g'v = 0}
         chart = prob.domain.chart(x)
         data = prob.constraint_set.adapted_chart(prob.constraint(x))
@@ -87,14 +88,14 @@ class TestCriticalCone:
             constraint_jac_ambient=lambda x: np.eye(2), name="weak-row")
         cert = solve_kkt(prob, np.zeros(2))
         np.testing.assert_allclose(cert.lambda_ineq, [1.0, 0.0], atol=1e-12)
-        crit = critical_cone(prob, np.zeros(2), cert)
+        crit = critical_cone(cert)
         assert crit.cone_n.contains(np.array([0.0, -1.0]), 1e-9)
         assert not crit.cone_n.contains(np.array([0.0, 1.0]), 1e-9)
         assert not crit.cone_n.contains(np.array([1.0, -1.0]), 1e-9)
 
     def test_two_definitions_agree_on_samples(self, remark):
         prob, cert = remark
-        crit = critical_cone(prob, np.zeros(2), cert)
+        crit = critical_cone(cert)
         # alternative description: linearizing rows + equality row mu g'
         chart = prob.domain.chart(np.zeros(2))
         data = prob.constraint_set.adapted_chart(np.zeros(2))
@@ -108,11 +109,22 @@ class TestCriticalCone:
             v = rng.standard_normal(2)
             assert crit.cone_m.contains(v, 1e-9) == alt.contains(v, 1e-9)
 
+    def test_multiplier_that_does_not_fit_is_rejected(self, remark):
+        _, cert = remark
+        with pytest.raises(InvalidCertificateError, match="stationarity residual"):
+            critical_cone(dataclasses.replace(cert, mu_chart=2 * cert.mu_chart))
+
+    def test_wrong_number_of_inequality_rows_is_rejected(self, remark):
+        _, cert = remark
+        with pytest.raises(InvalidCertificateError, match="inequality rows"):
+            critical_cone(dataclasses.replace(
+                cert, lambda_ineq=np.append(cert.lambda_ineq, 0.0)))
+
     def test_image_lands_in_cone_n(self):
         prob = build_sphere_polygon()
         point = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, point)
-        crit = critical_cone(prob, point, cert)
+        crit = critical_cone(cert)
         rng = np.random.default_rng(3)
         for v in sample_cone(crit.cone_m, rng, 100):
             w = crit.jacobian @ v
@@ -274,8 +286,7 @@ class TestInvariance:
         maps = prob.extras["linmaps"]
         pb1 = build_pullback(prob, np.zeros(2), linmap=maps["S01"])
         pb3 = build_pullback(prob, np.zeros(2), linmap=maps["S03"])
-        [report] = invariance_check(prob, np.zeros(2), cert, [pb1, pb3],
-                                    tol=1e-8, n_samples=200, seed=0)
+        [report] = invariance_check(cert, [pb1, pb3], tol=1e-8, n_samples=200, seed=0)
         assert report.passed
         assert report.max_on_cone <= 1e-8
         # off the cone the quadratic forms genuinely differ (value 2 at (1,1))
@@ -289,8 +300,7 @@ class TestInvariance:
         alpha = prob.extras["alpha"]
         pb1 = build_pullback(prob, np.zeros(2), linmap=maps["S01"])
         pb2 = build_pullback(prob, np.zeros(2), linmap=maps["S02"])
-        [report] = invariance_check(prob, np.zeros(2), cert, [pb1, pb2],
-                                    tol=1e-8, n_samples=200, seed=0)
+        [report] = invariance_check(cert, [pb1, pb2], tol=1e-8, n_samples=200, seed=0)
         assert not report.passed
         # the discrepancy on {v1 = 0} is exactly 2 alpha at unit samples
         assert report.max_on_cone == pytest.approx(2.0 * alpha, abs=1e-6)
@@ -305,16 +315,15 @@ class TestInvariance:
         cert = solve_kkt(prob, point)
         pbs = [build_pullback(prob, point, retraction_kind=r, linmap_kind=lm)
                for r in ("exp", "proj") for lm in ("log", "gnomonic")]
-        reports = invariance_check(prob, point, cert, pbs,
-                                   tol=1e-5, n_samples=100, seed=0)
+        reports = invariance_check(cert, pbs, tol=1e-5, n_samples=100, seed=0)
         pairs = [(i, j) for i in range(len(pbs)) for j in range(i + 1, len(pbs))]
         assert len(reports) == len(pairs)
         for (i, j), report in zip(pairs, reports):
             assert report.passed, (i, j, report.max_on_cone)
             # sharing the cone, samples and Hessians across pairs changes no
             # bit of a pair's report
-            [alone] = invariance_check(prob, point, cert, [pbs[i], pbs[j]],
-                                       tol=1e-5, n_samples=100, seed=0)
+            [alone] = invariance_check(cert, [pbs[i], pbs[j]], tol=1e-5,
+                                       n_samples=100, seed=0)
             assert (report.max_on_cone, report.max_off_cone, report.n_on_cone) == \
                 (alone.max_on_cone, alone.max_off_cone, alone.n_on_cone), (i, j)
             for shared, single in ((report.hessian_1, alone.hessian_1),
@@ -322,7 +331,7 @@ class TestInvariance:
                 assert shared.source == single.source
                 assert shared.fd_discrepancy == single.fd_discrepancy
                 assert np.array_equal(shared.matrix, single.matrix)
-        assert invariance_check(prob, point, cert, pbs[:1]) == []
+        assert invariance_check(cert, pbs[:1]) == []
 
     def test_directions_are_transported_into_rotated_retraction_charts(self):
         # f = (x1^2 + 3 x2^2) / 2 at its minimiser 0, with the inactive row
@@ -358,8 +367,7 @@ class TestInvariance:
         (rot_a, retr_a), (rot_b, retr_b) = rotated(0.4), rotated(1.1)
         pbs = [build_pullback(prob, point, retraction=retr_a),
                build_pullback(prob, point, retraction=retr_b)]
-        [report] = invariance_check(prob, point, cert, pbs, tol=1e-6,
-                                    n_samples=100, seed=0)
+        [report] = invariance_check(cert, pbs, tol=1e-6, n_samples=100, seed=0)
         np.testing.assert_allclose(report.hessian_1.matrix, rot_a.T @ hess @ rot_a,
                                    atol=1e-7)
         np.testing.assert_allclose(report.hessian_2.matrix, rot_b.T @ hess @ rot_b,
@@ -412,7 +420,7 @@ class TestVerdicts:
 
     def test_zero_hessian_sonc_holds(self, remark):
         prob, cert = remark
-        crit = critical_cone(prob, np.zeros(2), cert)
+        crit = critical_cone(cert)
         pb = build_pullback(prob, np.zeros(2),
                             linmap=prob.extras["linmaps"]["S01"])
         hess = lagrangian_hessian(pb, cert.mu_chart)
@@ -424,7 +432,7 @@ class TestVerdicts:
         prob = build_classical_nlp({"m": 3, "seed": 13})
         x = prob.extras["reference"]["point"]
         cert = solve_kkt(prob, x)
-        crit = critical_cone(prob, x, cert)
+        crit = critical_cone(cert)
         pb = build_pullback(prob, x)
         hess = lagrangian_hessian(pb, cert.mu_chart)
         assert sosc_check(hess, crit).holds
@@ -551,7 +559,7 @@ class TestStrictMinimalityProxy:
         ref = prob.extras["reference"]
         x = ref["point"]
         cert = solve_kkt(prob, x)
-        crit = critical_cone(prob, x, cert)
+        crit = critical_cone(cert)
         pb = build_pullback(prob, x)
         hess = lagrangian_hessian(pb, cert.mu_chart)
         assert sosc_check(hess, crit).holds
