@@ -423,15 +423,18 @@ def _point_tag(p: np.ndarray) -> str:
 def tangent_basis(p: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the hyperplane orthogonal to ``p``.
 
-    Columns of the returned ``(d, d-1)`` matrix complete ``p`` (assumed unit)
-    to an orthonormal frame, built from the Householder reflection mapping the
-    last coordinate vector onto ``p``.
+    Columns of the returned ``(d, d-1)`` matrix complete ``p / |p|`` to an
+    orthonormal frame, built from the Householder reflection mapping the
+    last coordinate vector onto it.  The reflection vector ``w = p - e_d``
+    is formed without cancellation: near the last axis its last entry is
+    ``-|p_{1..d-1}|^2 / (1 + p_d)``.
     """
     p = _as_float_array(p)
+    p = p / np.linalg.norm(p)
     d = p.size
-    e = np.zeros(d)
-    e[-1] = 1.0
-    w = p - e
+    w = p.copy()
+    head = p[:-1]
+    w[-1] = -float(head @ head) / (1.0 + p[-1]) if p[-1] > 0 else p[-1] - 1.0
     nw = np.linalg.norm(w)
     if nw < 1e-13:
         house = np.eye(d)

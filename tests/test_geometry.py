@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corneropt.errors import ChartMismatchError, DomainError
 from corneropt.geometry import (Chart, CircleCotangent, CircleProduct,
@@ -210,3 +212,29 @@ def test_retraction_differential_matches_fd(manifold):
             assert (r.differential_fn is None) == isinstance(manifold, CircleCotangent)
             np.testing.assert_allclose(r.differential(v), fd_jacobian_of(r.map_fn, v),
                                        atol=1e-6)
+
+
+def test_tangent_basis_one_ulp_outside_the_sphere_near_the_pole():
+    # a diagonal-constraint solve iterate: forming p - e_d cancelled here,
+    # and the frame was 4e-4 away from orthogonal to p
+    p = np.array([7.5e-13, -5.1e-13, 1.0000000000000002])
+    basis = tangent_basis(p)
+    assert np.linalg.norm(basis.T @ p) <= 1e-15
+    np.testing.assert_allclose(basis.T @ basis, np.eye(2), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.integers(-300, -6), st.sampled_from([1.0, -1.0]),
+       st.integers(-2, 2), st.data())
+def test_tangent_basis_is_orthonormal_near_the_poles(d, exponent, pole, ulps, data):
+    """Frames at points within ``10^exponent`` of a pole, with ``|p|`` moved
+    by up to two ulp, are orthonormal and orthogonal to ``p``."""
+    head = 10.0 ** exponent * np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=d - 1, max_size=d - 1)))
+    last = pole * math.sqrt(1.0 - float(head @ head))
+    for _ in range(abs(ulps)):
+        last = np.nextafter(last, math.copysign(2.0, ulps * last))
+    p = np.r_[head, last]
+    basis = tangent_basis(p)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(d - 1), rtol=0, atol=1e-14)
+    assert np.linalg.norm(basis.T @ p) <= 1e-13
