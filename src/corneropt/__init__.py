@@ -17,7 +17,7 @@ from .corners import (AdaptedChartData, CornerSet, DiagonalCornerSet,
 from .errors import CornerOptError
 from .firstorder import (CQReport, KKTCertificate, check_licq, check_mfcq,
                          check_transversality, check_zkrcq, classical_report,
-                         cone_membership_agreement, cq_report,
+                         cone_membership_agreement, cq_report, kkt_certificate,
                          multiplier_set_probe, solve_kkt)
 from .geometry import (Chart, Euclidean, LinearizingMap, Manifold, Product,
                        Retraction, Sphere, TangentVec, axiom_check,
@@ -42,7 +42,7 @@ __all__ = [
     "check_licq", "check_mfcq", "check_transversality", "check_zkrcq",
     "classical_report", "cone_membership_agreement", "corner_index",
     "cq_report", "critical_cone", "extreme_rays", "get_model",
-    "inner_tangent_cone", "invariance_check", "lagrangian_hessian",
+    "inner_tangent_cone", "invariance_check", "kkt_certificate", "lagrangian_hessian",
     "lagrangian_value", "multiplier_set_probe", "polar_contains",
     "push_tangent", "second_order_consistent", "solve",
     "solve_kkt", "sonc_check", "sosc_check", "validate", "zero_tangent_space",

@@ -26,7 +26,7 @@ from . import __version__
 from .errors import (BadParamsError, ConfigError, CornerOptError,
                      InfeasiblePointError, NoMultiplierError)
 from .firstorder import (chart_switch_residual, cone_membership_agreement,
-                         cq_report, solve_kkt)
+                         cq_report, kkt_certificate)
 from .models import MODELS, get_model
 from .secondorder import (build_pullback, critical_cone, invariance_check,
                           lagrangian_hessian, sonc_check, sosc_check)
@@ -226,8 +226,9 @@ def _cq_dict(report) -> dict:
 def _certified(config: RunConfig, command: str, first_order: bool = True):
     """The steps ``check``, ``certify`` and ``invariance`` share.
 
-    Builds the report header, tests feasibility, adds the CQ section (when
-    ``first_order``) and recovers the KKT certificate.  Returns ``(prob,
+    Builds the report header, tests feasibility, builds the default local
+    representation once, adds the CQ section (when ``first_order``) and
+    recovers the KKT certificate in that representation.  Returns ``(prob,
     report, cert, None)``, with the certificate in the report when
     ``first_order``; or ``(prob, report, None, code)`` once the report is
     emitted, when the point is infeasible or has no multiplier.
@@ -240,11 +241,12 @@ def _certified(config: RunConfig, command: str, first_order: bool = True):
         report["feasible"] = False
         _emit(report, config.output)
         return prob, report, None, EXIT_INFEASIBLE
+    loc = prob.local(point)
     if first_order:
         report["feasible"] = True
-        report["cq"] = _cq_dict(cq_report(prob.local(point), config.tol))
+        report["cq"] = _cq_dict(cq_report(loc, config.tol))
     try:
-        cert = solve_kkt(prob, point, config.tol)
+        cert = kkt_certificate(loc, config.tol)
     except NoMultiplierError as err:
         report["kkt"] = {"holds": False, "best_residual": err.residual}
         _emit(report, config.output)

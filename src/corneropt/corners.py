@@ -23,7 +23,8 @@ import numpy as np
 from .cones import PolyhedralCone, matrix_rank, null_space, sample_cone
 from .errors import (BadParamsError, NotInSetError, ValidationFailureError)
 from .geometry import (Chart, CircleCotangent, CircleProduct, Euclidean,
-                       LinearizingMap, Manifold, Product, Sphere, _point_tag)
+                       LinearizingMap, Manifold, Product, Sphere, _point_tag,
+                       _zero_hess_contract)
 
 TOL_FEAS = 1e-9  # membership tolerance for "q is in K"
 
@@ -132,7 +133,8 @@ def chart_linearizing_map(data: AdaptedChartData, name: str = "chart") -> Linear
         cone=data.cone(),
         name=name,
         domain_radius=chart.radius,
-        differential_fn=chart.forward_jacobian_fn)
+        differential_fn=chart.forward_jacobian_fn,
+        hess_contract_fn=chart.forward_hess_contract_fn)
 
 
 def scaling_linearizing_map(data: AdaptedChartData, gamma: float = 0.4,
@@ -159,7 +161,7 @@ def scaling_linearizing_map(data: AdaptedChartData, gamma: float = 0.4,
         s = (-1.0 + math.sqrt(disc)) / (2.0 * gamma)
         return chart.inverse(v / (1.0 + gamma * s))
 
-    jac = None
+    jac = hess = None
     if chart.forward_jacobian_fn is not None:
         def jac(q, chart=chart, gamma=gamma):
             x = chart.forward(q)
@@ -167,11 +169,24 @@ def scaling_linearizing_map(data: AdaptedChartData, gamma: float = 0.4,
             return (1.0 + gamma * float(np.sum(x))) * dpsi \
                 + gamma * np.outer(x, np.sum(dpsi, axis=0))
 
+        if chart.forward_hess_contract_fn is not None:
+            def hess(q, mu, chart=chart, gamma=gamma):
+                # S = s(x) x with s = 1 + gamma 1^T x and x = psi(q): in x the
+                # contraction is gamma (mu 1^T + 1 mu^T), and psi's own second
+                # derivative takes the covector (s I + gamma 1 x^T) mu
+                x = chart.forward(q)
+                dpsi = chart.forward_differential(q)
+                mu = np.asarray(mu, dtype=float)
+                ones = np.ones(x.size)
+                inner = gamma * (np.outer(mu, ones) + np.outer(ones, mu))
+                covec = (1.0 + gamma * float(np.sum(x))) * mu + gamma * float(x @ mu) * ones
+                return dpsi.T @ inner @ dpsi + chart.forward_hess_contract_fn(q, covec)
+
     return LinearizingMap(
         base=chart.center, dim=data.n,
         map_fn=fwd, chart=chart, inverse_fn=inv,
         cone=data.cone(), name=name, domain_radius=radius,
-        differential_fn=jac)
+        differential_fn=jac, hess_contract_fn=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +499,7 @@ class EuclideanCornerSet(CornerSet):
         chart = Chart(center=q, dim=self.n, radius=radius,
                       forward_fn=fwd, inverse_fn=inv,
                       inverse_jacobian_fn=inv_jac, forward_jacobian_fn=fwd_jac,
+                      forward_hess_contract_fn=_zero_hess_contract(self.n),
                       chart_id=f"corner:{kind}@{_point_tag(q)}")
         a_hat = np.zeros((ell, k))
         for r, i in enumerate(active):

@@ -17,7 +17,8 @@ certificates of the polar (:func:`cone_membership_agreement`).
 Multiplier recovery solves the nonnegatively constrained least-squares
 problem ``min | grad f + G^T (A^T lambda_I + W^T lambda_E) |`` over
 ``lambda_I >= 0``, which yields a certificate and degrades gracefully near
-non-KKT points.
+non-KKT points: :func:`kkt_certificate` in a representation already built,
+:func:`solve_kkt` from a point.
 """
 
 from __future__ import annotations
@@ -181,15 +182,20 @@ def cq_report(loc: LocalRepresentation, tol: float = 1e-8) -> CQReport:
 def solve_kkt(prob: ProblemInstance, p, tol: float = TOL_KKT,
               chart_kind: str = "default", adapted_kind: str = "default",
               tol_act: float = TOL_ACT) -> KKTCertificate:
+    """:func:`kkt_certificate` in the local representation ``prob.local(p,
+    chart_kind, adapted_kind)``."""
+    return kkt_certificate(prob.local(p, chart_kind, adapted_kind), tol, tol_act)
+
+
+def kkt_certificate(loc: LocalRepresentation, tol: float = TOL_KKT,
+                    tol_act: float = TOL_ACT) -> KKTCertificate:
     """Recover a Lagrange multiplier by nonnegative least squares.
 
     Minimizes the stationarity residual over ``lambda_I >= 0`` and free
-    ``lambda_E`` in the local representation ``prob.local(p, chart_kind,
-    adapted_kind)``, which the certificate carries; succeeds iff the optimum
-    is below ``tol * (1 + |grad f|)``.  Raises :class:`NoMultiplierError`
-    otherwise -- the point is not KKT.
+    ``lambda_E`` in the local representation ``loc``, which the certificate
+    carries; succeeds iff the optimum is below ``tol * (1 + |grad f|)``.
+    Raises :class:`NoMultiplierError` otherwise -- the point is not KKT.
     """
-    loc = prob.local(p, chart_kind, adapted_kind)
     data, jac, grad = loc.corner, loc.jacobian, loc.gradient
     rows_i = data.inequality_rows()
     rows_e = data.equality_rows()

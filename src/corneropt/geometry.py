@@ -97,6 +97,10 @@ class Chart:
     inverse_jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     # Analytic Jacobian of forward_fn at an ambient point (dim x ambient_dim).
     forward_jacobian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # (point, mu) -> sum_j mu_j Hess forward_j(point) (ambient_dim x
+    # ambient_dim), the second derivative of forward_fn contracted with a
+    # covector; absent when no closed form is known.
+    forward_hess_contract_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def forward(self, point: np.ndarray) -> np.ndarray:
         x = _as_float_array(self.forward_fn(_as_float_array(point)))
@@ -195,6 +199,10 @@ class Retraction:
     # Analytic Jacobian of map_fn (ambient_dim x dim); finite differences
     # when absent.
     differential_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # c -> sum_k c_k Hess R_k(0) (dim x dim), the second derivative of map_fn
+    # at 0 contracted with an ambient covector; absent when no closed form is
+    # known.
+    hess_contract_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         v = _as_float_array(v)
@@ -234,6 +242,10 @@ class LinearizingMap:
     # Analytic Jacobian of map_fn at an ambient point (dim x ambient_dim);
     # finite differences when absent.
     differential_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # (point, mu) -> sum_j mu_j Hess S_j(point) (ambient_dim x ambient_dim),
+    # the second derivative of map_fn contracted with a covector in this
+    # map's frame; absent when no closed form is known.
+    hess_contract_fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, point: np.ndarray) -> np.ndarray:
         return _as_float_array(self.map_fn(_as_float_array(point)))
@@ -352,8 +364,18 @@ def _fixed_rotation(dim: int) -> np.ndarray:
     return q
 
 
+def _zero_hess_contract(dim: int) -> Callable:
+    """The second-derivative contraction of an affine map on ``R^dim``."""
+    return lambda *_: np.zeros((dim, dim))
+
+
 class Euclidean(Manifold):
-    """R^d with translation charts; the alternate chart adds a fixed rotation."""
+    """R^d with translation charts; the alternate chart adds a fixed rotation.
+
+    Both charts and the translation retraction are affine, so their
+    second-derivative contractions vanish; the quadratic retraction's is
+    ``(c . curl) I``.
+    """
 
     chart_kinds = ("default", "alt")
     retraction_kinds = ("translation", "quadratic", "default", "alt")
@@ -383,6 +405,7 @@ class Euclidean(Manifold):
                 inverse_fn=lambda x, p=p: p + _as_float_array(x),
                 inverse_jacobian_fn=lambda x: np.eye(self.dim),
                 forward_jacobian_fn=lambda q: np.eye(self.dim),
+                forward_hess_contract_fn=_zero_hess_contract(self.dim),
                 chart_id=f"{self.name}:shift@{_point_tag(p)}")
         rot = self._rotation
         return Chart(
@@ -391,6 +414,7 @@ class Euclidean(Manifold):
             inverse_fn=lambda x, p=p: p + rot.T @ _as_float_array(x),
             inverse_jacobian_fn=lambda x: rot.T.copy(),
             forward_jacobian_fn=lambda q: rot.copy(),
+            forward_hess_contract_fn=_zero_hess_contract(self.dim),
             chart_id=f"{self.name}:rot@{_point_tag(p)}")
 
     def retraction(self, p, kind: str = "default") -> Retraction:
@@ -403,7 +427,8 @@ class Euclidean(Manifold):
             return Retraction(base=p, chart=chart,
                               map_fn=lambda v, p=p: p + _as_float_array(v),
                               domain_radius=1e8, name="translation",
-                              differential_fn=lambda v: np.eye(self.dim))
+                              differential_fn=lambda v: np.eye(self.dim),
+                              hess_contract_fn=_zero_hess_contract(self.dim))
         curl = self._curl
 
         def quad(v, p=p, curl=curl):
@@ -413,7 +438,9 @@ class Euclidean(Manifold):
         return Retraction(base=p, chart=chart, map_fn=quad,
                           domain_radius=10.0, name="quadratic",
                           differential_fn=lambda v, curl=curl: (
-                              np.eye(self.dim) + np.outer(curl, v)))
+                              np.eye(self.dim) + np.outer(curl, v)),
+                          hess_contract_fn=lambda c, curl=curl: (
+                              float(np.asarray(c, dtype=float) @ curl) * np.eye(self.dim)))
 
 
 def _point_tag(p: np.ndarray) -> str:

@@ -132,11 +132,6 @@ def build_classical_nlp(params: Optional[dict] = None) -> ProblemInstance:
     mu_chart[:n_ineq] = eta_full
     mu_chart[n_ineq:] = eta_eq
 
-    def pullback_hessian(mu, retraction, linmap, quad=quad):
-        if retraction.name == "translation" and linmap.name == "chart":
-            return quad
-        return None
-
     region = SearchRegion(center=x_star, radius=1.0)
     extras = {
         "classical": {"ineq_idx": tuple(range(n_ineq)),
@@ -149,7 +144,6 @@ def build_classical_nlp(params: Optional[dict] = None) -> ProblemInstance:
             "active_set": tuple(active),
             "provenance": "derived: planted-multiplier construction",
         },
-        "analytic_pullback_hessian": pullback_hessian,
         "search_region": region,
         "quad": quad,
     }
@@ -158,6 +152,8 @@ def build_classical_nlp(params: Optional[dict] = None) -> ProblemInstance:
         objective=objective, constraint=constraint,
         objective_grad_ambient=objective_grad,
         constraint_jac_ambient=lambda x, g_mat=g_mat: g_mat,
+        objective_hess_ambient=lambda x, quad=quad: quad,
+        constraint_hess_contract=lambda x, w, m=m: np.zeros((m, m)),
         name="classical-nlp", extras=extras)
 
 
@@ -390,12 +386,30 @@ def build_control_model(params: Optional[dict] = None) -> ProblemInstance:
             y, u = p[:n], p[n:]
             return np.concatenate([y, energy_grad(y, u)])
 
-        def constraint_jac(p, n=n, q_mat=q_mat, beta=beta):
+        # Dg = [[I, 0], [Q + 3 beta diag(y^2), -I]]: the blocks are built
+        # once, and each call writes only the diagonal of the lower-left one
+        jac_blocks = np.vstack([
+            np.hstack([np.eye(n), np.zeros((n, n))]),
+            np.hstack([q_mat + 3.0 * beta * np.zeros((n, n)), -np.eye(n)])])
+        q_diag = np.diag(q_mat).copy()
+        rows, cols = np.arange(n, 2 * n), np.arange(n)
+
+        def constraint_jac(p, n=n, beta=beta):
             p = np.asarray(p, dtype=float)
             y = p[:n]
-            top = np.hstack([np.eye(n), np.zeros((n, n))])
-            bottom = np.hstack([q_mat + 3.0 * beta * np.diag(y ** 2), -np.eye(n)])
-            return np.vstack([top, bottom])
+            jac = jac_blocks.copy()
+            jac[rows, cols] = q_diag + 3.0 * beta * y ** 2
+            return jac
+
+        def constraint_hess(p, w, n=n, beta=beta):
+            # only the cubic term of the state equation curves g
+            p = np.asarray(p, dtype=float)
+            w = np.asarray(w, dtype=float)
+            diag = np.zeros(2 * n)
+            diag[:n] = 6.0 * beta * p[:n] * w[n:]
+            return np.diag(diag)
+
+        objective_hess = np.diag(np.concatenate([np.ones(n), np.full(n, alpha)]))
 
         def objective(p, n=n, y_target=y_target, alpha=alpha):
             p = np.asarray(p, dtype=float)
@@ -433,6 +447,8 @@ def build_control_model(params: Optional[dict] = None) -> ProblemInstance:
             objective=objective, constraint=constraint,
             objective_grad_ambient=objective_grad,
             constraint_jac_ambient=constraint_jac,
+            objective_hess_ambient=lambda p, hess=objective_hess: hess,
+            constraint_hess_contract=constraint_hess,
             name="control-model", extras=extras)
 
     if opts["variant"] != "circle":
@@ -501,49 +517,40 @@ def build_remark_counterexample(params: Optional[dict] = None) -> ProblemInstanc
     cone = data.cone()
     chart = data.chart
 
+    # each map with its Jacobian and its (constant) second-derivative
+    # contraction sum_j mu_j Hess S_j
     maps = {
         "S01": LinearizingMap(
             base=origin, dim=2,
             map_fn=lambda p: np.asarray(p, dtype=float).copy(),
             chart=chart,
             inverse_fn=lambda v: np.asarray(v, dtype=float).copy(),
-            cone=cone, name="S01"),
+            cone=cone, name="S01",
+            differential_fn=lambda p: np.eye(2),
+            hess_contract_fn=lambda p, mu: np.zeros((2, 2))),
         "S02": LinearizingMap(
             base=origin, dim=2,
             map_fn=lambda p, a=alpha: np.array([p[0] + a * p[1] ** 2, p[1]]),
             chart=chart,
             inverse_fn=lambda v, a=alpha: np.array([v[0] - a * v[1] ** 2, v[1]]),
-            cone=None, name="S02"),
+            cone=None, name="S02",
+            differential_fn=lambda p, a=alpha: np.array([[1.0, 2.0 * a * p[1]],
+                                                         [0.0, 1.0]]),
+            hess_contract_fn=lambda p, mu, a=alpha: np.array([[0.0, 0.0],
+                                                              [0.0, 2.0 * a * mu[0]]])),
         "S03": LinearizingMap(
             base=origin, dim=2,
             map_fn=lambda p: np.array([p[0] + p[0] * p[1], p[1]]),
             chart=chart,
             inverse_fn=lambda v: np.array([v[0] / (1.0 + v[1]), v[1]]),
-            cone=cone, name="S03", domain_radius=0.9),
+            cone=cone, name="S03", domain_radius=0.9,
+            differential_fn=lambda p: np.array([[1.0 + p[1], p[0]], [0.0, 1.0]]),
+            hess_contract_fn=lambda p, mu: np.array([[0.0, mu[0]], [mu[0], 0.0]])),
     }
-    # second-derivative tensors of the map components at 0; the pulled-back
-    # Lagrangian Hessian with the translation retraction is their
-    # mu-weighted contraction (f is linear, g is the identity)
-    tensors = {
-        "S01": np.zeros((2, 2, 2)),
-        "S02": np.array([[[0.0, 0.0], [0.0, 2.0 * alpha]],
-                         [[0.0, 0.0], [0.0, 0.0]]]),
-        "S03": np.array([[[0.0, 1.0], [1.0, 0.0]],
-                         [[0.0, 0.0], [0.0, 0.0]]]),
-    }
-
-    def pullback_hessian(mu, retraction, linmap, tensors=tensors):
-        if retraction.name != "translation" or linmap.name not in tensors:
-            return None
-        if np.linalg.norm(retraction.base) > 1e-12:
-            return None
-        return np.einsum("a,aij->ij", np.asarray(mu, dtype=float),
-                         tensors[linmap.name])
 
     extras = {
         "linmaps": maps,
         "adapted_flags": {"S01": True, "S02": False, "S03": True},
-        "analytic_pullback_hessian": pullback_hessian,
         "alpha": alpha,
         "reference": {
             "point": origin,
@@ -561,6 +568,8 @@ def build_remark_counterexample(params: Optional[dict] = None) -> ProblemInstanc
         constraint=lambda p: np.asarray(p, dtype=float),
         objective_grad_ambient=lambda p: np.array([-1.0, 0.0]),
         constraint_jac_ambient=lambda p: np.eye(2),
+        objective_hess_ambient=lambda p: np.zeros((2, 2)),
+        constraint_hess_contract=lambda p, w: np.zeros((2, 2)),
         name="remark-counterexample", extras=extras)
 
 

@@ -1,7 +1,9 @@
 """Problem instances: objective, constraint map, and the corner set they target.
 
 A :class:`ProblemInstance` bundles ``(M, N, K, f, g)`` with optional analytic
-ambient derivatives.  Chart representations ``f o phi^{-1}`` and
+ambient derivatives: first derivatives, and second derivatives as the
+contractions ``Hess f`` and ``sum_i w_i Hess g_i`` that the exact pulled-back
+Lagrangian Hessian needs.  Chart representations ``f o phi^{-1}`` and
 ``psi o g o phi^{-1}`` and their derivatives at the chart center are derived
 here; analytic ambient derivatives are chained through the chart Jacobians
 when available, otherwise central finite differences (step ``fd_step``) are
@@ -53,6 +55,11 @@ class ProblemInstance:
     constraint: Callable[[np.ndarray], np.ndarray]
     objective_grad_ambient: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constraint_jac_ambient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    # second derivatives, as contractions: p -> Hess f(p) (m x m) and
+    # (p, w) -> sum_i w_i Hess g_i(p) (m x m), both of the ambient extensions
+    # that objective and constraint evaluate
+    objective_hess_ambient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    constraint_hess_contract: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = "problem"
     fd_step: float = 1e-5
     # optional vectorized callbacks used only by brute-force oracles

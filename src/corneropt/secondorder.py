@@ -16,8 +16,20 @@ pull-back's Hessian, and the critical cone and its samples, only once.
 A Hessian comes from one of three sources, recorded in
 :attr:`HessianForm.source`:
 
-* ``analytic``: the model's ``analytic_pullback_hessian`` hook, when it
-  covers the pull-back's retraction and linearizing map;
+* ``analytic``: the exact Hessian, when the model supplies first and second
+  ambient derivatives (``objective_grad_ambient``, ``constraint_jac_ambient``,
+  ``objective_hess_ambient``, ``constraint_hess_contract``) and the
+  retraction and the linearizing map supply closed-form differentials and
+  second-derivative contractions (``differential_fn``,
+  ``hess_contract_fn``).  At ``v = 0``, with ``w = DS(g(p))^T mu`` and
+  ``c = grad f(p) + Dg(p)^T w``, it is the chain rule
+
+      ``H = DR(0)^T [Hess f + sum_i w_i Hess g_i
+                     + Dg^T (sum_j mu_j Hess S_j) Dg] DR(0)
+            + sum_k c_k Hess R_k(0)``,
+
+  a contraction of matrices with no third-order tensor and no difference
+  step (:attr:`PulledBackProblem.exact_hessian`);
 * ``grad-fd``: otherwise, when the model supplies ambient gradients and the
   linearizing map a closed-form differential, central differences of the
   analytic gradient ``grad Lbar(v) = DR(v)^T (grad f(x) + Dg(x)^T DS(g(x))^T
@@ -27,8 +39,11 @@ A Hessian comes from one of three sources, recorded in
   ``h/2`` with Richardson extrapolation.
 
 Both difference sources run the one stencil :func:`hessian_at_step`, which
-the solver calls at a single step.  ``fd_discrepancy`` is the largest entry
-of the difference between the two step levels (0 for ``analytic``).
+the solver calls at a single step when a pull-back has no exact Hessian.
+``fd_discrepancy`` is the largest entry of the difference between the two
+step levels (0 for ``analytic``).  A user model gets exact Hessians on the
+built-in Euclidean retractions and linearizing maps by supplying the two
+second-derivative hooks next to its gradient hooks.
 """
 
 from __future__ import annotations
@@ -64,11 +79,14 @@ class PulledBackProblem:
     f_bar: Callable[[np.ndarray], float]
     g_bar: Callable[[np.ndarray], np.ndarray]
     cone_bar: PolyhedralCone
-    analytic_hessian: Optional[Callable] = None
     name: str = ""
     # (v, mu) -> gradient of the pulled-back Lagrangian, when the model and
     # the linearizing map supply the derivatives it needs
     lagrangian_gradient: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    # mu -> Hessian at v = 0 of the pulled-back Lagrangian by the chain rule,
+    # when the model, the retraction and the linearizing map supply every
+    # first and second derivative it needs
+    exact_hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @property
     def dim(self) -> int:
@@ -79,12 +97,13 @@ def pull_back(prob: ProblemInstance, p, retraction: Retraction, linmap: Lineariz
               cone: PolyhedralCone) -> PulledBackProblem:
     """The pull-back of ``prob`` at ``p`` through ``retraction`` and ``linmap``.
 
-    Wires ``f_bar``, ``g_bar``, the model's ``analytic_pullback_hessian``
-    hook and the Lagrangian gradient ``(v, mu) -> DR(v)^T (grad f(x) +
-    Dg(x)^T DS(g(x))^T mu)``, ``x = R(v)``, one retraction per call; the
-    gradient is ``None`` when the model supplies no ambient gradients or
-    ``S`` no closed-form differential.  ``p`` need not be feasible: the
-    solver pulls back at its iterates.
+    Wires ``f_bar``, ``g_bar``, the Lagrangian gradient ``(v, mu) -> DR(v)^T
+    (grad f(x) + Dg(x)^T DS(g(x))^T mu)``, ``x = R(v)``, one retraction per
+    call, and the exact Hessian at ``v = 0`` (see the module docstring).
+    The gradient is ``None`` when the model supplies no ambient gradients or
+    ``S`` no closed-form differential; the exact Hessian is ``None`` unless
+    every first- and second-derivative hook is present.  ``p`` need not be
+    feasible: the solver pulls back at its iterates.
     """
     def f_bar(v):
         return float(prob.objective(retraction(v)))
@@ -92,11 +111,7 @@ def pull_back(prob: ProblemInstance, p, retraction: Retraction, linmap: Lineariz
     def g_bar(v):
         return linmap(prob.constraint(retraction(v)))
 
-    analytic = None
-    hook = prob.extras.get("analytic_pullback_hessian")
-    if hook is not None:
-        analytic = lambda mu: hook(mu, retraction, linmap)
-    gradient = None
+    gradient = exact = None
     if (prob.objective_grad_ambient is not None and prob.constraint_jac_ambient is not None
             and linmap.differential_fn is not None):
         def gradient(v, mu):
@@ -106,11 +121,30 @@ def pull_back(prob: ProblemInstance, p, retraction: Retraction, linmap: Lineariz
                 @ (linmap.differential(prob.constraint(x)).T @ mu)
             return retraction.differential(v).T @ covec
 
+        if (prob.objective_hess_ambient is not None
+                and prob.constraint_hess_contract is not None
+                and retraction.differential_fn is not None
+                and retraction.hess_contract_fn is not None
+                and linmap.hess_contract_fn is not None):
+            def exact(mu):
+                mu = np.asarray(mu, dtype=float)
+                x = retraction.base
+                q = prob.constraint(x)
+                dg = np.asarray(prob.constraint_jac_ambient(x), dtype=float)
+                w = linmap.differential(q).T @ mu
+                c = np.asarray(prob.objective_grad_ambient(x), dtype=float) + dg.T @ w
+                inner = np.asarray(prob.objective_hess_ambient(x), dtype=float) \
+                    + np.asarray(prob.constraint_hess_contract(x, w), dtype=float) \
+                    + dg.T @ np.asarray(linmap.hess_contract_fn(q, mu), dtype=float) @ dg
+                dr = retraction.differential(np.zeros(retraction.chart.dim))
+                return dr.T @ inner @ dr + np.asarray(retraction.hess_contract_fn(c),
+                                                      dtype=float)
+
     return PulledBackProblem(
         base=np.asarray(p, dtype=float), retraction=retraction, linmap=linmap,
-        f_bar=f_bar, g_bar=g_bar, cone_bar=cone, analytic_hessian=analytic,
+        f_bar=f_bar, g_bar=g_bar, cone_bar=cone,
         name=f"{prob.name}:{retraction.name}/{linmap.name}",
-        lagrangian_gradient=gradient)
+        lagrangian_gradient=gradient, exact_hessian=exact)
 
 
 def build_pullback(prob: ProblemInstance, p, retraction: Optional[Retraction] = None,
@@ -191,8 +225,9 @@ class HessianForm:
     base: np.ndarray
     chart_id: str
     matrix: np.ndarray
-    # "analytic" (model hook), "grad-fd" (differences of the analytic
-    # Lagrangian gradient) or "fd" (second differences of Lagrangian values)
+    # "analytic" (the exact chain-rule Hessian), "grad-fd" (differences of
+    # the analytic Lagrangian gradient) or "fd" (second differences of
+    # Lagrangian values)
     source: str = "fd"
     # largest entry of |H(h/2) - H(h)| between the two step levels; 0 when
     # analytic
@@ -221,8 +256,8 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
     Requires stationarity (the bilinear form is only chart-independent
     there); raises :class:`NotStationaryError` otherwise.  The gradient
     tested is the pull-back's analytic one when it has one, central
-    differences of values otherwise.  The Hessian is the model's analytic
-    one if its hook covers the pull-back; otherwise :func:`hessian_at_step`
+    differences of values otherwise.  The Hessian is the pull-back's exact
+    one when it has one; otherwise :func:`hessian_at_step`
     at ``h`` and ``h/2`` (``grad-fd`` or ``fd``), Richardson extrapolated,
     with the largest difference between the two levels recorded as
     ``fd_discrepancy``.
@@ -239,13 +274,11 @@ def lagrangian_hessian(pb: PulledBackProblem, mu, h: float = FD_HESS_STEP,
         raise NotStationaryError(
             f"pulled-back Lagrangian gradient {np.linalg.norm(grad):.3e} "
             f"exceeds {stationarity_tol:g}; Hessian undefined off stationary points")
-    if pb.analytic_hessian is not None:
-        mat = pb.analytic_hessian(mu)
-        if mat is not None:
-            mat = np.asarray(mat, dtype=float)
-            mat = 0.5 * (mat + mat.T)
-            return HessianForm(base=pb.base, chart_id=pb.retraction.chart.chart_id,
-                               matrix=mat, source="analytic", fd_discrepancy=0.0)
+    if pb.exact_hessian is not None:
+        mat = pb.exact_hessian(mu)
+        mat = 0.5 * (mat + mat.T)
+        return HessianForm(base=pb.base, chart_id=pb.retraction.chart.chart_id,
+                           matrix=mat, source="analytic", fd_discrepancy=0.0)
     source = "grad-fd" if pb.lagrangian_gradient is not None else "fd"
     coarse, fine = (hessian_at_step(pb, mu, step) for step in (h, h / 2.0))
     mat = (4.0 * fine - coarse) / 3.0

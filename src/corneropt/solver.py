@@ -4,9 +4,14 @@ Each iteration re-centers the problem: a fresh chart and retraction at the
 current iterate, a fresh adapted corner description at (the projection of)
 its constraint value.  The problem is pulled back with the
 :class:`~corneropt.secondorder.PulledBackProblem` the certifier uses; its
-linearizing map is the codomain's default chart at that projection, and its
-Hessian is one :func:`~corneropt.secondorder.hessian_at_step`.  The
-linearized subproblem
+linearizing map is the codomain's default chart at that projection.  In
+``fd-lagrangian`` mode its Hessian is the pull-back's exact one (the
+``analytic`` source of :mod:`corneropt.secondorder`) when the model supplies
+the second-derivative hooks ``objective_hess_ambient`` and
+``constraint_hess_contract`` and the retraction and chart have closed-form
+second derivatives, as every built-in Euclidean one has; otherwise it is one
+:func:`~corneropt.secondorder.hessian_at_step`, with no Richardson step.  The
+mode keeps its name either way.  The linearized subproblem
 
     min  1/2 v^T H v + grad^T v
     s.t. A_I (G v + g0) <= 0,   A_E (G v + g0) = 0
@@ -303,14 +308,18 @@ def _local_pullback(prob: ProblemInstance, p, opts: SolveOptions, band: float):
     cone = transport_cone(data.cone(), trans)
     linmap = LinearizingMap(base=eval_chart.center, dim=eval_chart.dim,
                             map_fn=eval_chart.forward, chart=eval_chart, name="default",
-                            differential_fn=eval_chart.forward_jacobian_fn)
+                            differential_fn=eval_chart.forward_jacobian_fn,
+                            hess_contract_fn=eval_chart.forward_hess_contract_fn)
     return pull_back(prob, p, retraction, linmap, cone)
 
 
 def _lagrangian_hessian(pb, mu: np.ndarray) -> np.ndarray:
-    """Hessian at ``v = 0`` of the pulled-back Lagrangian: one
+    """Hessian at ``v = 0`` of the pulled-back Lagrangian: the pull-back's
+    exact one when it has one, else one
     :func:`~corneropt.secondorder.hessian_at_step`, at ``FD_STEP`` on the
     analytic Lagrangian gradient and at ``1e-4`` on Lagrangian values."""
+    if pb.exact_hessian is not None:
+        return pb.exact_hessian(mu)
     return hessian_at_step(pb, mu, FD_STEP if pb.lagrangian_gradient is not None else 1e-4)
 
 

@@ -1,5 +1,5 @@
-"""Mutants of the verdict and first-order logic and the tests that are
-expected to catch them.
+"""Mutants of the verdict, first-order and second-derivative logic and the
+tests that are expected to catch them.
 
 ``python tests/mutants.py [NAME ...]`` copies ``src/`` and ``tests/`` into a
 temporary directory once per mutant, applies the mutant's one-line source
@@ -77,6 +77,12 @@ MUTANTS = {
             "cone_disagreements(cone_a, cone_b, np.eye(trans.shape[0]))"),
            ["tests/test_firstorder.py::TestChartIndependence::"
             "test_membership_agreement"], "killed"),
+    "M10": ("the quadratic retraction's second derivative drops its curl "
+            "contraction",
+            ("src/corneropt/geometry.py",
+             "float(np.asarray(c, dtype=float) @ curl) * np.eye(self.dim)))",
+             "np.zeros((self.dim, self.dim))))"),
+            ["tests/test_secondorder.py::TestExactHessian"], "killed"),
 }
 
 

@@ -243,6 +243,25 @@ class TestControlModel:
         for block in blocks:
             assert np.max(np.abs(block)) <= 1e-10
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5, -0.3])
+    def test_constraint_jacobian_is_the_block_formula(self, beta):
+        # built from constant blocks plus the 3 beta y^2 diagonal, bit for
+        # bit the value of the block formula, and a fresh array per call
+        n = 7
+        prob = build_control_model({"n_nodes": n, "beta": beta})
+        q_mat = prob.extras["q_mat"]
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            p = rng.standard_normal(2 * n)
+            y = p[:n]
+            formula = np.vstack([
+                np.hstack([np.eye(n), np.zeros((n, n))]),
+                np.hstack([q_mat + 3.0 * beta * np.diag(y ** 2), -np.eye(n)])])
+            jac = prob.constraint_jac_ambient(p)
+            assert jac.tobytes() == formula.tobytes()
+            # the next call must not see this one's writes
+            jac[:] = np.nan
+
     def test_licq_iff_surjective(self):
         prob = build_control_model({"n_nodes": 5})
         ref = prob.extras["reference"]

@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from corneropt.cones import PolyhedralCone, sample_cone
-from corneropt.corners import EuclideanCornerSet
+from corneropt.corners import EuclideanCornerSet, chart_linearizing_map
 from corneropt.errors import InvalidCertificateError, NotStationaryError
 from corneropt.firstorder import solve_kkt
 from corneropt.geometry import Chart, Euclidean, Retraction, Sphere
@@ -15,10 +16,13 @@ from corneropt.models import (build_classical_nlp, build_control_model,
 from corneropt.secondorder import (CriticalCone, HessianForm, PulledBackProblem,
                                    build_pullback, critical_cone,
                                    invariance_check, lagrangian_hessian,
-                                   lagrangian_value, second_order_consistent,
+                                   lagrangian_value, pull_back,
+                                   second_order_consistent,
                                    sonc_check, sosc_check,
                                    transition_second_derivative)
+from corneropt.oracles import fd_hessian, fd_jacobian
 from corneropt.problem import ProblemInstance
+from corneropt.solver import SolveOptions, _local_pullback, solve
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +33,12 @@ def remark():
 
 
 def fd_only(pb):
-    """Copy of a pull-back with the analytic Hessian hook and the analytic
+    """Copy of a pull-back with the exact Hessian and the analytic
     Lagrangian gradient removed: its Hessians come from value differences."""
     return PulledBackProblem(
         base=pb.base, retraction=pb.retraction, linmap=pb.linmap,
         f_bar=pb.f_bar, g_bar=pb.g_bar, cone_bar=pb.cone_bar,
-        analytic_hessian=None, name=pb.name)
+        name=pb.name)
 
 
 class TestCriticalCone:
@@ -258,6 +262,145 @@ class TestLagrangianHessian:
                 hess = lagrangian_hessian(pb, cert.mu_chart)
                 asym = np.linalg.norm(hess.matrix - hess.matrix.T)
                 assert asym <= 1e-8 * max(1.0, np.linalg.norm(hess.matrix))
+
+
+def _exact_cases():
+    """``(label, model, point)``: feasible Euclidean points of every model
+    whose pull-backs have exact Hessians."""
+    classical = build_classical_nlp({"seed": 14})
+    saddle = build_classical_nlp({"seed": 5, "curvature": "indefinite"})
+    cases = [("classical-nlp", classical, classical.extras["reference"]["point"]),
+             ("classical-saddle", saddle, saddle.extras["reference"]["point"])]
+    for beta in (0.0, 0.5):
+        prob = build_control_model({"n_nodes": 5, "beta": beta})
+        # a feasible point off the optimum: u solves the state equation
+        y = 0.4 * np.random.default_rng(7).standard_normal(5)
+        u = prob.extras["q_mat"] @ y + beta * y ** 3
+        cases.append((f"control-beta{beta:g}", prob, np.concatenate([y, u])))
+    remark = build_remark_counterexample()
+    cases.append(("remark", remark, np.zeros(2)))
+    return cases
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_pullbacks():
+    """``(label, pull-back)`` for every Euclidean retraction and linearizing
+    map: the corner set's ``chart`` and ``bent`` maps, the chart map of the
+    ``scaled`` adapted chart, the remark maps S01-S03, and the solver's
+    pull-backs at infeasible iterates."""
+    out = []
+    for label, prob, point in _exact_cases():
+        q = prob.constraint(point)
+        maps = [prob.constraint_set.linearizing_map(q, kind)
+                for kind in prob.constraint_set.linmap_kinds]
+        maps.append(chart_linearizing_map(prob.constraint_set.adapted_chart(q, "scaled"),
+                                          name="scaled"))
+        maps += list(prob.extras.get("linmaps", {}).values())
+        for retr in ("translation", "quadratic"):
+            retraction = prob.domain.retraction(point, retr)
+            for linmap in maps:
+                cone = linmap.cone if linmap.cone is not None else \
+                    prob.constraint_set.adapted_chart(q).cone()
+                out.append((f"{label}:{retr}/{linmap.name}",
+                            pull_back(prob, point, retraction, linmap, cone)))
+            iterate = point + 0.3 * np.random.default_rng(11).standard_normal(point.size)
+            assert not prob.feasible(iterate)
+            out.append((f"{label}:{retr}/solver",
+                        _local_pullback(prob, iterate, SolveOptions(retraction_kind=retr), 0.3)))
+    return out
+
+
+class TestExactHessian:
+    """The exact pulled-back Lagrangian Hessian and the second-derivative
+    hooks it is built from, each against central differences."""
+
+    @pytest.mark.parametrize("kind", ["translation", "quadratic"])
+    def test_retraction_hook_matches_fd_of_its_differential(self, kind):
+        # sum_k c_k Hess R_k(0) is the Jacobian at 0 of v -> DR(v)^T c
+        rng = np.random.default_rng(1)
+        space = Euclidean(4)
+        retraction = space.retraction(rng.standard_normal(4), kind)
+        for _ in range(3):
+            c = rng.standard_normal(4)
+            fd = fd_jacobian(lambda v: retraction.differential(v).T @ c, np.zeros(4))
+            np.testing.assert_allclose(retraction.hess_contract_fn(c), fd, atol=1e-8, rtol=0)
+
+    def test_linmap_hooks_match_fd_of_their_differentials(self):
+        # sum_j mu_j Hess S_j(q) is the Jacobian in q of q -> DS(q)^T mu,
+        # at the base and at a nearby point
+        corner = EuclideanCornerSet(4, ineq=(0, 1), eq=(3,))
+        base = np.array([0.0, -0.6, 0.2, 0.0])
+        maps = [corner.linearizing_map(base, kind) for kind in corner.linmap_kinds]
+        maps.append(chart_linearizing_map(corner.adapted_chart(base, "scaled")))
+        space = Euclidean(4)
+        charts = [space.chart(base, kind) for kind in space.chart_kinds]
+        maps += list(build_remark_counterexample({"alpha": 1.5}).extras["linmaps"].values())
+        rng = np.random.default_rng(2)
+        for linmap in maps:
+            assert linmap.hess_contract_fn is not None, linmap.name
+            dim = linmap.base.size
+            for q in (linmap.base, linmap.base + 0.05 * rng.standard_normal(dim)):
+                mu = rng.standard_normal(linmap.dim)
+                fd = fd_jacobian(lambda x: linmap.differential(x).T @ mu, q)
+                np.testing.assert_allclose(linmap.hess_contract_fn(q, mu), fd,
+                                           atol=1e-7, rtol=0, err_msg=linmap.name)
+        for chart in charts:
+            mu = rng.standard_normal(4)
+            q = base + 0.05 * rng.standard_normal(4)
+            fd = fd_jacobian(lambda x: chart.forward_differential(x).T @ mu, q)
+            np.testing.assert_allclose(chart.forward_hess_contract_fn(q, mu), fd,
+                                       atol=1e-8, rtol=0)
+
+    @pytest.mark.parametrize("label", [case[0] for case in _exact_cases()])
+    def test_model_hooks_match_fd_of_their_gradients(self, label):
+        [(_, prob, point)] = [case for case in _exact_cases() if case[0] == label]
+        rng = np.random.default_rng(3)
+        for x in (point, point + 0.2 * rng.standard_normal(point.size)):
+            fd = fd_jacobian(prob.objective_grad_ambient, x)
+            np.testing.assert_allclose(prob.objective_hess_ambient(x), fd,
+                                       atol=1e-7, rtol=0)
+            for _ in range(2):
+                w = rng.standard_normal(prob.constraint(x).size)
+                fd = fd_jacobian(
+                    lambda z: np.asarray(prob.constraint_jac_ambient(z)).T @ w, x)
+                np.testing.assert_allclose(prob.constraint_hess_contract(x, w), fd,
+                                           atol=1e-7, rtol=0)
+
+    @pytest.mark.parametrize("index", range(len(_exact_pullbacks())))
+    def test_exact_hessian_matches_value_differences(self, index):
+        label, pb = _exact_pullbacks()[index]
+        assert pb.exact_hessian is not None, label
+        m = pb.g_bar(np.zeros(pb.dim)).size
+        rng = np.random.default_rng(index)
+        for mu in (np.zeros(m), rng.standard_normal(m), 3.0 * rng.standard_normal(m)):
+            exact = pb.exact_hessian(mu)
+            fd = fd_hessian(lambda v: lagrangian_value(pb, v, mu), np.zeros(pb.dim), 1e-4)
+            scale = max(1.0, float(np.max(np.abs(exact))))
+            assert float(np.max(np.abs(exact - fd))) <= 1e-6 * scale, label
+
+    def test_lagrangian_hessian_reports_exact_as_analytic(self):
+        prob = build_control_model({"n_nodes": 4, "beta": 0.5})
+        point = solve(prob, np.zeros(8)).point
+        cert = solve_kkt(prob, point)
+        for retr in ("translation", "quadratic"):
+            for lm in ("chart", "bent"):
+                pb = build_pullback(prob, point, retraction_kind=retr, linmap_kind=lm)
+                hess = lagrangian_hessian(pb, cert.mu_chart)
+                assert (hess.source, hess.fd_discrepancy) == ("analytic", 0.0)
+                exact = pb.exact_hessian(cert.mu_chart)
+                np.testing.assert_array_equal(hess.matrix, 0.5 * (exact + exact.T))
+
+    def test_manifold_pieces_keep_the_stencil(self):
+        sphere = build_sphere_polygon()
+        diagonal = build_diagonal_constraint()
+        circle = build_control_model({"n_nodes": 3, "variant": "circle"})
+        pullbacks = [build_pullback(sphere, sphere.extras["reference"]["point"]),
+                     build_pullback(diagonal, np.array([0.0, 0.0, 1.0]))]
+        for prob in (sphere, diagonal, circle):
+            start = prob.domain.random_point(np.random.default_rng(0))
+            pullbacks.append(_local_pullback(prob, start, SolveOptions(), 0.3))
+        for pb in pullbacks:
+            assert pb.exact_hessian is None, pb.name
 
 
 class TestFirstDerivativeInvariance:

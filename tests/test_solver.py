@@ -8,6 +8,7 @@ from corneropt.errors import LineSearchFailureError, QPInfeasibleError
 from corneropt.firstorder import solve_kkt
 from corneropt.geometry import Euclidean, Sphere, fd_hessian_of, fd_jacobian_of
 from corneropt import secondorder as secondorder_module
+from corneropt import solver as solver_module
 from corneropt.models import (build_classical_nlp, build_control_model,
                               build_diagonal_constraint, build_remark_counterexample,
                               build_sphere_polygon)
@@ -278,7 +279,9 @@ def _pullback(prob, point):
 
 
 class TestLagrangianHessian:
-    """The solver's Hessian differences the analytic Lagrangian gradient."""
+    """The solver's Hessian: the exact one where the model, retraction and
+    chart supply second derivatives, differences of the analytic Lagrangian
+    gradient otherwise."""
 
     def test_control_model_matches_closed_form(self):
         n = 6
@@ -325,6 +328,35 @@ class TestLagrangianHessian:
         assert result.status == "converged"
         assert calls[0] <= 250
         assert fallbacks[0] == 0
+
+    def test_control_solve_hessian_budget(self, monkeypatch):
+        # the Hessian stencil took 5 calls to hessian_at_step and 805
+        # gradient closures (811 constraint_jac_ambient calls) for this
+        # solve; the exact Hessian needs none of the first and one Jacobian
+        # per iteration.  The budget may only go down
+        stencils = [0]
+        original = secondorder_module.hessian_at_step
+
+        def counted_stencil(*args, **kwargs):
+            stencils[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(secondorder_module, "hessian_at_step", counted_stencil)
+        monkeypatch.setattr(solver_module, "hessian_at_step", counted_stencil)
+        prob = build_control_model({"n_nodes": 40, "beta": 0.5})
+        jacobians = [0]
+
+        def counted_jacobian(p, jac=prob.constraint_jac_ambient):
+            jacobians[0] += 1
+            return jac(p)
+
+        prob = dataclasses.replace(prob, constraint_jac_ambient=counted_jacobian)
+        start = 0.3 * np.random.default_rng(0).standard_normal(80)
+        result = solve(prob, start)
+        assert result.status == "converged"
+        assert result.n_iterations == 6
+        assert stencils[0] == 0
+        assert jacobians[0] <= 11
 
     def test_models_without_gradients_use_value_differences(self, monkeypatch):
         fallbacks = _count_fallbacks(monkeypatch)
